@@ -6,8 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/dhgcn_model.h"
@@ -24,7 +22,6 @@
 #include "hypergraph/knn.h"
 #include "nn/conv2d.h"
 #include "tensor/linalg.h"
-#include "tensor/sparse.h"
 #include "tensor/tensor_ops.h"
 
 namespace dhgcn {
@@ -44,28 +41,10 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(25)->Arg(64)->Arg(128);
 
-// --- Blocked-GEMM ablation (recorded in BENCH_gemm.json) --------------------
+// --- Blocked GEMM (recorded in BENCH_gemm.json) -----------------------------
 //
-// BM_GemmNaive runs the retained reference row kernel (the pre-blocking
-// implementation, still used for GemmHint::kSparse); BM_GemmBlocked runs
-// the packed cache-blocked micro-kernel through MatMul, pack time
-// included. Both single-threaded so the ratio isolates the kernel.
-
-void BM_GemmNaive(benchmark::State& state) {
-  ThreadPool::Get().SetThreads(1);
-  int64_t n = state.range(0);
-  Rng rng(22);
-  Tensor a = Tensor::RandomNormal({n, n}, rng);
-  Tensor b = Tensor::RandomNormal({n, n}, rng);
-  Tensor c = Tensor::Zeros({n, n});
-  for (auto _ : state) {
-    std::memset(c.data(), 0, static_cast<size_t>(c.numel()) * sizeof(float));
-    detail::GemmReferenceAccumulate(a.data(), b.data(), c.data(), n, n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256);
+// The packed cache-blocked micro-kernel through MatMul, pack time
+// included, single-threaded so the number isolates the kernel.
 
 void BM_GemmBlocked(benchmark::State& state) {
   ThreadPool::Get().SetThreads(1);
@@ -80,9 +59,8 @@ void BM_GemmBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256);
 
-// Conv2d general-path lowering ablation: the original direct loop nest vs
-// the im2col + blocked-GEMM lowering, on the DHGCN temporal-conv shape
-// (9x1 kernel over (T, V) planes).
+// Conv2d general path: the im2col + blocked-GEMM lowering on the DHGCN
+// temporal-conv shape (9x1 kernel over (T, V) planes).
 
 Conv2dOptions TemporalConvOptions() {
   Conv2dOptions options;
@@ -91,21 +69,8 @@ Conv2dOptions TemporalConvOptions() {
   return options;
 }
 
-void BM_Conv2dDirect(benchmark::State& state) {
-  Conv2d::SetUseIm2col(false);
-  Rng rng(24);
-  Conv2d conv(32, 32, TemporalConvOptions(), rng);
-  Tensor x = Tensor::RandomNormal({4, 32, 32, 25}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x));
-  }
-  Conv2d::SetUseIm2col(true);
-}
-BENCHMARK(BM_Conv2dDirect);
-
 void BM_Conv2dIm2col(benchmark::State& state) {
-  Conv2d::SetUseIm2col(true);
-  Rng rng(24);  // same seed: identical layer and input as BM_Conv2dDirect
+  Rng rng(24);
   Conv2d conv(32, 32, TemporalConvOptions(), rng);
   Tensor x = Tensor::RandomNormal({4, 32, 32, 25}, rng);
   for (auto _ : state) {
@@ -114,21 +79,7 @@ void BM_Conv2dIm2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dIm2col);
 
-void BM_Conv2dDirectBackward(benchmark::State& state) {
-  Conv2d::SetUseIm2col(false);
-  Rng rng(25);
-  Conv2d conv(32, 32, TemporalConvOptions(), rng);
-  Tensor x = Tensor::RandomNormal({4, 32, 32, 25}, rng);
-  Tensor g = Tensor::RandomNormal(conv.Forward(x).shape(), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Backward(g));
-  }
-  Conv2d::SetUseIm2col(true);
-}
-BENCHMARK(BM_Conv2dDirectBackward);
-
 void BM_Conv2dIm2colBackward(benchmark::State& state) {
-  Conv2d::SetUseIm2col(true);
   Rng rng(25);
   Conv2d conv(32, 32, TemporalConvOptions(), rng);
   Tensor x = Tensor::RandomNormal({4, 32, 32, 25}, rng);
@@ -204,24 +155,9 @@ void BM_VertexMixApply(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexMixApply);
 
-// Design-choice ablation: the same structural aggregation through the
-// CSR kernel. The skeleton adjacency is ~12% dense, the static
-// hypergraph operator ~35% — sparse wins on the former, roughly ties on
-// the latter, which is why the library defaults to dense (V, V) mixing
-// for hypergraph operators and offers SparseVertexMix for graph ones.
-void BM_SparseVertexMixAdjacency(benchmark::State& state) {
-  const SkeletonLayout& layout =
-      GetSkeletonLayout(SkeletonLayoutType::kNtu25);
-  Rng rng(50);
-  SparseVertexMix mix(SkeletonGraph(layout).NormalizedAdjacency(), 1e-8f);
-  Tensor x = Tensor::RandomNormal({4, 32, 16, 25}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mix.Forward(x));
-  }
-}
-BENCHMARK(BM_SparseVertexMixAdjacency);
-
-void BM_DenseVertexMixAdjacency(benchmark::State& state) {
+// The skeleton adjacency (~12% dense) through VertexMix, which routes
+// it to the CSR kernels.
+void BM_VertexMixAdjacency(benchmark::State& state) {
   const SkeletonLayout& layout =
       GetSkeletonLayout(SkeletonLayoutType::kNtu25);
   Rng rng(51);
@@ -231,38 +167,7 @@ void BM_DenseVertexMixAdjacency(benchmark::State& state) {
     benchmark::DoNotOptimize(mix.Forward(x));
   }
 }
-BENCHMARK(BM_DenseVertexMixAdjacency);
-
-void BM_SparseVertexMixHypergraph(benchmark::State& state) {
-  const SkeletonLayout& layout =
-      GetSkeletonLayout(SkeletonLayoutType::kNtu25);
-  Rng rng(52);
-  SparseVertexMix mix(
-      NormalizedHypergraphOperator(StaticSkeletonHypergraph(layout)),
-      1e-8f);
-  Tensor x = Tensor::RandomNormal({4, 32, 16, 25}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mix.Forward(x));
-  }
-}
-BENCHMARK(BM_SparseVertexMixHypergraph);
-
-void BM_SpMMVsGemm(benchmark::State& state) {
-  // SpMM on a synthetic operator at the given percent density.
-  Rng rng(53);
-  int64_t n = 64;
-  Tensor dense({n, n});
-  float keep = static_cast<float>(state.range(0)) / 100.0f;
-  for (int64_t i = 0; i < dense.numel(); ++i) {
-    if (rng.Bernoulli(keep)) dense.flat(i) = rng.Normal();
-  }
-  CsrMatrix sparse = CsrMatrix::FromDense(dense);
-  Tensor b = Tensor::RandomNormal({n, n}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SpMM(sparse, b));
-  }
-}
-BENCHMARK(BM_SpMMVsGemm)->Arg(5)->Arg(25)->Arg(100);
+BENCHMARK(BM_VertexMixAdjacency);
 
 void BM_DynamicVertexMixApply(benchmark::State& state) {
   Rng rng(6);

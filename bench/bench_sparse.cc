@@ -1,17 +1,13 @@
-// Sparse-execution benchmarks (recorded in BENCH_sparse.json):
+// Sparse-execution benchmarks (recorded in BENCH_sparse.json, whose
+// SpMM-vs-blocked-GEMM sweep measured the 0.35 density crossover in
+// tensor/sparse.h):
 //
-// 1. The SpMM-vs-blocked-GEMM density sweep that calibrates
-//    `SparseRouter::kDefaultDensityThreshold`: `BM_SpMMIntoDensity`
-//    against `BM_DenseGemmBaseline` at the same shape. The crossover is
-//    the density where the CSR kernel stops beating the dense product;
-//    below ~10% the sparse kernel must be >= 2x faster (the acceptance
-//    bar for this subsystem).
-// 2. The routed operator: `VertexMix` forward with the router forced
-//    on vs off across operator densities, on the model's own (V, V)
-//    aggregation shape.
-// 3. End-to-end: training steps/sec with `--sparse auto` semantics on a
-//    magnitude-pruned model vs the dense baseline — the payoff of
-//    pruning + density routing together.
+// 1. The routed operator: `VertexMix` forward across operator
+//    densities on the model's own (V, V) aggregation shape. Operators
+//    at or below the crossover run the CSR kernels, denser ones the
+//    dense loop.
+// 2. End-to-end: workspace training steps/sec on a magnitude-pruned
+//    model vs the unpruned one.
 
 #include <benchmark/benchmark.h>
 
@@ -19,10 +15,7 @@
 #include "base/thread_pool.h"
 #include "core/dhgcn_model.h"
 #include "hypergraph/hypergraph_conv.h"
-#include "tensor/linalg.h"
-#include "tensor/sparse.h"
-#include "tensor/sparse_router.h"
-#include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 #include "train/pruner.h"
 
 namespace dhgcn {
@@ -37,55 +30,13 @@ Tensor RandomAtDensity(const Shape& shape, double density, Rng& rng) {
   return t;
 }
 
-// --- 1. Density sweep: CSR SpMM vs the blocked dense GEMM -------------
+// --- 1. The routed operator at model shape ----------------------------
 //
-// Both single-threaded into pre-allocated outputs, so the ratio
-// isolates kernel cost. range(0) = matrix size, range(1) = density in
-// percent.
-
-void BM_SpMMIntoDensity(benchmark::State& state) {
-  ThreadPool::Get().SetThreads(1);
-  int64_t n = state.range(0);
-  double density = static_cast<double>(state.range(1)) / 100.0;
-  Rng rng(61);
-  Tensor a = RandomAtDensity({n, n}, density, rng);
-  Tensor b = Tensor::RandomNormal({n, n}, rng);
-  CsrMatrix a_csr = CsrMatrix::FromDense(a);
-  Tensor c({n, n});
-  for (auto _ : state) {
-    SpMMInto(a_csr, b, &c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_SpMMIntoDensity)
-    ->ArgsProduct({{64, 256}, {1, 5, 10, 20, 30, 40, 50, 75, 100}});
-
-void BM_DenseGemmBaseline(benchmark::State& state) {
-  ThreadPool::Get().SetThreads(1);
-  int64_t n = state.range(0);
-  Rng rng(62);
-  // Same nonzero structure as the sparse benchmark at 100% density; the
-  // blocked kernel's cost is density-independent.
-  Tensor a = Tensor::RandomNormal({n, n}, rng);
-  Tensor b = Tensor::RandomNormal({n, n}, rng);
-  Tensor c({n, n});
-  for (auto _ : state) {
-    MatMulInto(a, b, &c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_DenseGemmBaseline)->Arg(64)->Arg(256);
-
-// --- 2. The routed operator at model shape ----------------------------
+// range(0) = operator density in percent.
 
 void BM_VertexMixRouted(benchmark::State& state) {
   ThreadPool::Get().SetThreads(1);
-  bool routed = state.range(0) != 0;
-  double density = static_cast<double>(state.range(1)) / 100.0;
-  SparseMode saved = SparseRouter::Get().mode();
-  SparseRouter::Get().set_mode(routed ? SparseMode::kOn : SparseMode::kOff);
+  double density = static_cast<double>(state.range(0)) / 100.0;
   Rng rng(63);
   Tensor op = RandomAtDensity({25, 25}, density, rng);
   VertexMix mix(op.Clone());
@@ -93,26 +44,18 @@ void BM_VertexMixRouted(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(mix.Forward(x));
   }
-  SparseRouter::Get().set_mode(saved);
 }
-BENCHMARK(BM_VertexMixRouted)
-    ->ArgsProduct({{0, 1}, {5, 10, 35, 100}});
+BENCHMARK(BM_VertexMixRouted)->Arg(5)->Arg(10)->Arg(35)->Arg(50)->Arg(100);
 
-// --- 3. End-to-end: pruned training step, sparse auto vs off ----------
+// --- 2. End-to-end: pruned training step ------------------------------
 //
-// The model's mix weights are magnitude-pruned to range(1)% sparsity
-// (the Pruner keeps them genuinely zero), then a forward+backward step
-// runs with the router in auto (range(0)=1) or off (range(0)=0). The
-// steps/sec ratio is the end-to-end payoff of density routing on a
-// pruned model.
+// The model's weights are magnitude-pruned to range(0)% sparsity (the
+// Pruner keeps them genuinely zero), then a workspace forward+backward
+// step runs, as the Trainer runs it.
 
 void BM_PrunedTrainStep(benchmark::State& state) {
   ThreadPool::Get().SetThreads(1);
-  bool sparse_auto = state.range(0) != 0;
-  double sparsity = static_cast<double>(state.range(1)) / 100.0;
-  SparseMode saved = SparseRouter::Get().mode();
-  SparseRouter::Get().set_mode(sparse_auto ? SparseMode::kAuto
-                                           : SparseMode::kOff);
+  double sparsity = static_cast<double>(state.range(0)) / 100.0;
 
   DhgcnConfig config = DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, 5);
   config.topology.kn = 2;
@@ -129,15 +72,17 @@ void BM_PrunedTrainStep(benchmark::State& state) {
   Rng rng(64);
   Tensor x = Tensor::RandomNormal({2, 3, 12, 25}, rng, 0.0f, 0.3f);
   Tensor g = Tensor::RandomNormal({2, 5}, rng);
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Forward(x));
-    benchmark::DoNotOptimize(model.Backward(g));
+    ws.Reset();
+    Tensor logits, grad_input;
+    model.ForwardInto(x, ws, &logits);
+    model.BackwardInto(g, ws, &grad_input);
+    benchmark::DoNotOptimize(grad_input.data());
   }
   state.SetItemsProcessed(state.iterations());
-  SparseRouter::Get().set_mode(saved);
 }
-BENCHMARK(BM_PrunedTrainStep)
-    ->ArgsProduct({{0, 1}, {0, 80}});
+BENCHMARK(BM_PrunedTrainStep)->Arg(0)->Arg(80);
 
 }  // namespace
 }  // namespace dhgcn

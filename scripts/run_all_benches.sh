@@ -18,9 +18,9 @@ build/bench/bench_kernels 2>&1 | tee -a "$out"
 echo "===== thread sweep -> BENCH_threads.json ====="
 build/bench/bench_kernels --benchmark_filter='Threads' \
   --benchmark_format=json > BENCH_threads.json
-echo "===== gemm/conv lowering ablation -> BENCH_gemm.json ====="
+echo "===== blocked gemm / im2col conv -> BENCH_gemm.json ====="
 build/bench/bench_kernels \
-  --benchmark_filter='Gemm(Naive|Blocked)|Conv2d(Direct|Im2col)' \
+  --benchmark_filter='GemmBlocked|Conv2dIm2col' \
   --benchmark_format=json > BENCH_gemm.json
 echo "===== serving load test -> BENCH_serving.json ====="
 # Baseline / 4x-overload-with-faults / recovery phases; --strict makes
@@ -38,8 +38,8 @@ echo "===== execution-plan vs layerwise -> BENCH_plan.json ====="
 # three-sweep -> one-sweep fusion win from the GEMM-dominated total.
 build/bench/bench_plan --benchmark_format=json > BENCH_plan.json
 echo "===== sparse routing sweep -> BENCH_sparse.json ====="
-# SpMM-vs-blocked-GEMM density crossover (calibrates the SparseRouter
-# default threshold), the routed VertexMix, and pruned end-to-end steps.
+# The density-routed VertexMix across operator densities and pruned
+# end-to-end training steps.
 build/bench/bench_sparse --benchmark_format=json > BENCH_sparse.json
 echo "===== int8 quantized inference -> BENCH_int8.json ====="
 # Int8-vs-fp32 GEMM kernels head to head (GMAC/s; the >=2x gate of

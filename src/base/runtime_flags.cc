@@ -10,13 +10,6 @@ void RuntimeFlags::Register(FlagSet* flags) {
                   "intra-op compute threads; results are bit-identical "
                   "for any value (0 = DHGCN_THREADS env or hardware "
                   "default)");
-  flags->AddString("sparse", &sparse,
-                   "CSR routing for the hypergraph operators: off|auto|on "
-                   "(auto = below the measured density crossover; any "
-                   "choice is bit-identical, this is a speed knob)");
-  flags->AddDouble("sparse_threshold", &sparse_threshold,
-                   "density crossover override in (0,1] for --sparse auto "
-                   "(0 = bench-measured default)");
   flags->AddString("precision", &precision,
                    "inference numerics: fp32|int8 (int8 = post-training "
                    "quantized GEMMs with a calibration pass, ~0.5% top-1 "
@@ -30,15 +23,6 @@ Status RuntimeFlags::Apply() {
         StrCat("--threads must be >= 0, got ", threads));
   }
   if (threads > 0) ThreadPool::Get().SetThreads(threads);
-  DHGCN_ASSIGN_OR_RETURN(sparse_mode, ParseSparseMode(sparse));
-  SparseRouter::Get().set_mode(sparse_mode);
-  if (sparse_threshold != 0.0) {
-    if (sparse_threshold <= 0.0 || sparse_threshold > 1.0) {
-      return Status::InvalidArgument(StrCat(
-          "--sparse_threshold must be in (0,1], got ", sparse_threshold));
-    }
-    SparseRouter::Get().set_density_threshold(sparse_threshold);
-  }
   DHGCN_ASSIGN_OR_RETURN(resolved_precision, ResolvePrecision(precision));
   return Status::OK();
 }

@@ -7,7 +7,6 @@
 #include "base/flags.h"
 #include "base/result.h"
 #include "quant/precision.h"
-#include "tensor/sparse_router.h"
 
 namespace dhgcn {
 
@@ -15,8 +14,7 @@ namespace dhgcn {
 /// in one place.
 ///
 /// `dhgcn_train` and `dhgcn_serve` expose the same process-wide
-/// execution controls — `--threads`/`DHGCN_THREADS`,
-/// `--sparse`/`DHGCN_SPARSE` (+ `--sparse_threshold`), and
+/// execution controls — `--threads`/`DHGCN_THREADS` and
 /// `--precision`/`DHGCN_PRECISION` — and used to duplicate the
 /// registration, validation, and singleton plumbing. Usage:
 ///
@@ -27,18 +25,15 @@ namespace dhgcn {
 ///   DHGCN_RETURN_IF_ERROR(rt.Apply());
 ///   ... use rt.resolved_precision ...
 ///
-/// `Apply` validates the values, configures the ThreadPool and
-/// SparseRouter singletons, and resolves the effective precision
-/// (flag text beats the environment variable, default fp32).
+/// `Apply` validates the values, configures the ThreadPool singleton,
+/// and resolves the effective precision (flag text beats the
+/// environment variable, default fp32).
 struct RuntimeFlags {
   // Flag storage; set a field before Register to change the default.
   int64_t threads = 0;
-  std::string sparse = "auto";
-  double sparse_threshold = 0.0;
   std::string precision;  // "" = DHGCN_PRECISION env, else fp32
 
-  // Outputs of Apply().
-  SparseMode sparse_mode = SparseMode::kAuto;
+  // Output of Apply().
   Precision resolved_precision = Precision::kFp32;
 
   void Register(FlagSet* flags);

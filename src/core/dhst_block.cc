@@ -59,7 +59,7 @@ DhstBlock::DhstBlock(const DhstBlockOptions& options,
                                              options.out_channels,
                                              one_by_one, rng);
     static_mix_ = std::make_unique<VertexMix>(
-        NormalizedHypergraphOperator(static_graph), /*learnable=*/false);
+        NormalizedHypergraphOperator(static_graph));
     ++enabled_branches_;
   }
   if (options.enable_joint_weight) {

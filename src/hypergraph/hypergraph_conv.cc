@@ -1,14 +1,13 @@
 #include "hypergraph/hypergraph_conv.h"
 
 #include <cmath>
+#include <utility>
 
 #include "base/check.h"
 #include "base/logging.h"
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "plan/plan_builder.h"
-#include "tensor/linalg.h"
-#include "tensor/sparse_router.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 
@@ -27,16 +26,9 @@ CsrMatrix& IncidenceCsrScratch() {
   return scratch;
 }
 
-// First-decision-only debug log: the dynamic-topology loop would
-// otherwise emit thousands of identical lines per step.
-void LogRouteOnce(bool* logged, const char* what, double density,
-                  bool routed) {
-  if (logged == nullptr || *logged) return;
-  *logged = true;
-  DHGCN_LOG(kDebug) << "sparse-router: " << what << " density=" << density
-                    << " threshold="
-                    << SparseRouter::Get().density_threshold() << " mode="
-                    << SparseModeName(SparseRouter::Get().mode()) << " -> "
+void LogRoute(const char* what, double density, bool routed) {
+  DHGCN_LOG(kDebug) << "sparse-route: " << what << " density=" << density
+                    << " crossover=" << kSparseDensityCrossover << " -> "
                     << (routed ? "csr" : "dense");
 }
 
@@ -69,47 +61,34 @@ Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
   }
   Tensor omega = NewTensor(ws, {nv, nv});  // (V, V)
   // Omega[v,u] is an ascending-e double dot of left row v with right
-  // row u; compressing `right` and skipping its zeros leaves the dot
-  // term-for-term identical (zero products are exact no-ops in the
-  // double accumulator), so both branches produce the same bits.
-  double density = SparseRouter::MeasureDensity(right);
-  bool routed = SparseRouter::Get().ShouldRoute(density);
-  static bool logged = false;
-  LogRouteOnce(&logged, "NormalizedHypergraphOperator", density, routed);
-  if (routed) {
-    CsrMatrix& csr = IncidenceCsrScratch();
-    csr.AssignFromDense(right);
-    SpMMTransposedBInto(left, csr, &omega);
-  } else {
-    // lint: allow-sparse-route (router dense fallback)
-    MatMulTransposedBInto(left, right, &omega);
-  }
+  // row u. `right` holds one entry per (vertex, incident edge), at most
+  // about 0.25 dense for the paper's k_n, k_m, so it always takes the
+  // CSR dots; the skipped zeros are exact no-ops in the double
+  // accumulator, so the result equals the dense product bit for bit.
+  CsrMatrix& csr = IncidenceCsrScratch();
+  csr.AssignFromDense(right);
+  SpMMTransposedBInto(left, csr, &omega);
   return omega;
 }
 
 Tensor WeightedIncidenceOperator(const Tensor& imp, Workspace* ws) {
   DHGCN_CHECK_EQ(imp.ndim(), 2);
   Tensor out = NewTensor(ws, {imp.dim(0), imp.dim(0)});
-  double density = SparseRouter::MeasureDensity(imp);
-  bool routed = SparseRouter::Get().ShouldRoute(density);
-  static bool logged = false;
-  LogRouteOnce(&logged, "WeightedIncidenceOperator", density, routed);
-  if (routed) {
-    CsrMatrix& csr = IncidenceCsrScratch();
-    csr.AssignFromDense(imp);
-    SpMMTransposedBInto(imp, csr, &out);
-  } else {
-    // lint: allow-sparse-route (router dense fallback)
-    MatMulTransposedBInto(imp, imp, &out);
-  }
+  // Imp = W_all ⊙ H keeps the zeros of the incidence matrix, so the
+  // product takes the same CSR dots as NormalizedHypergraphOperator.
+  CsrMatrix& csr = IncidenceCsrScratch();
+  csr.AssignFromDense(imp);
+  SpMMTransposedBInto(imp, csr, &out);
   return out;
 }
 
-VertexMix::VertexMix(Tensor op, bool learnable)
-    : op_(std::move(op)), learnable_(learnable) {
+VertexMix::VertexMix(Tensor op) : op_(std::move(op)) {
   DHGCN_CHECK_EQ(op_.ndim(), 2);
   DHGCN_CHECK_EQ(op_.dim(0), op_.dim(1));
-  op_grad_ = Tensor(op_.shape());
+  double density = MeasureDensity(op_);
+  routed_ = ShouldRouteSparse(density);
+  LogRoute("VertexMix", density, routed_);
+  if (routed_) op_csr_.AssignFromDense(op_);
 }
 
 Tensor VertexMix::ForwardImpl(const Tensor& input, Workspace* ws) {
@@ -121,31 +100,11 @@ Tensor VertexMix::ForwardImpl(const Tensor& input, Workspace* ws) {
   return out;
 }
 
-bool VertexMix::RouteSparse() const {
-  const SparseRouter& router = SparseRouter::Get();
-  if (router.mode() == SparseMode::kOff) return false;
-  if (learnable_ || !csr_valid_) {
-    // Learnable operators move every optimizer step (and magnitude
-    // pruning is what creates their zeros), so they re-probe and
-    // re-compress per call; fixed structural operators probe once.
-    op_density_ = SparseRouter::MeasureDensity(op_);
-    bool routed = router.ShouldRoute(op_density_);
-    LogRouteOnce(&route_logged_, "VertexMix", op_density_, routed);
-    if (!routed) return false;
-    op_csr_.AssignFromDense(op_);
-    csr_valid_ = !learnable_;
-    return true;
-  }
-  bool routed = router.ShouldRoute(op_density_);
-  LogRouteOnce(&route_logged_, "VertexMix", op_density_, routed);
-  return routed;
-}
-
 void VertexMix::MixPlan(const Tensor& input, Tensor* out) const {
   DHGCN_CHECK_EQ(input.ndim(), 4);
   DHGCN_CHECK_EQ(input.dim(3), op_.dim(0));
   DHGCN_CHECK(ShapesEqual(out->shape(), input.shape()));
-  if (RouteSparse()) {
+  if (routed_) {
     // Same ascending-u double dots as below, zeros skipped (exact
     // no-ops) — bit-identical, ThreadPool-parallel over leading rows.
     SparseMixInto(op_csr_, input, out);
@@ -176,13 +135,11 @@ int64_t VertexMix::Record(PlanBuilder& builder, int64_t in) {
   const Shape& s = builder.slot_shape(in);
   if (s.size() != 4 || s[3] != op_.dim(0)) return -1;
   PlanOp op;
-  // Capture-time routing: a fixed operator's density cannot change
-  // after recording, so the decision is baked into the op kind and the
-  // runner replays the CSR kernel directly (no per-step re-probe).
-  // Learnable operators keep kVertexMix, whose MixPlan re-routes per
-  // call. The CSR image lives in the layer, which must outlive the
-  // plan (same contract as every other layer pointer in PlanOp).
-  if (!learnable_ && RouteSparse()) {
+  // The routing decision is baked into the op kind, so the runner
+  // replays the CSR kernel directly. The CSR image lives in the layer,
+  // which must outlive the plan (same contract as every other layer
+  // pointer in PlanOp).
+  if (routed_) {
     op.kind = PlanOpKind::kSpMM;
     op.csr = &op_csr_;
   } else {
@@ -202,33 +159,24 @@ Tensor VertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   int64_t v = input.dim(3);
   int64_t rows = input.numel() / v;
   Tensor grad_input = NewZeroedTensor(ws, input.shape());
-  if (!learnable_ && RouteSparse()) {
+  if (routed_) {
     // Same float scatter order as the dense loop below (vi ascending,
     // zero grads skipped, zero operator entries exact no-op adds) —
-    // bit-identical, parallel over leading rows. The learnable case
-    // keeps the dense loop: its op-gradient accumulation is shared
-    // across leading rows and must stay single-pass serial.
+    // bit-identical, parallel over leading rows.
     SparseMixBackwardInto(op_csr_, grad_output, &grad_input);
     return grad_input;
   }
   const float* pg = grad_output.data();
   const float* pm = op_.data();
-  const float* px = input.data();
   float* pgi = grad_input.data();
-  float* pgm = op_grad_.data();
   for (int64_t r = 0; r < rows; ++r) {
     const float* grow = pg + r * v;
-    const float* xrow = px + r * v;
     float* girow = pgi + r * v;
     for (int64_t vi = 0; vi < v; ++vi) {
       float g = grow[vi];
       if (g == 0.0f) continue;
       const float* mrow = pm + vi * v;
-      float* gmrow = pgm + vi * v;
-      for (int64_t u = 0; u < v; ++u) {
-        girow[u] += g * mrow[u];
-        if (learnable_) gmrow[u] += g * xrow[u];
-      }
+      for (int64_t u = 0; u < v; ++u) girow[u] += g * mrow[u];
     }
   }
   return grad_input;
@@ -253,14 +201,8 @@ void VertexMix::BackwardInto(const Tensor& grad_output, Workspace& ws,
   *grad_input = BackwardImpl(grad_output, &ws);
 }
 
-std::vector<ParamRef> VertexMix::Params() {
-  if (!learnable_) return {};
-  return {{"op", &op_, &op_grad_}};
-}
-
 std::string VertexMix::name() const {
-  return StrCat("VertexMix(V=", op_.dim(0),
-                learnable_ ? ", learnable)" : ")");
+  return StrCat("VertexMix(V=", op_.dim(0), ")");
 }
 
 void DynamicVertexMix::SetOperators(Tensor ops) {
@@ -291,9 +233,13 @@ void DynamicVertexMix::MixPlan(const Tensor& input, const Tensor& ops,
   float* po = out->data();
   // The operators are data-dependent, so the density probe runs per
   // call — an O(N·T·V²) scan, a factor C cheaper than the mix itself.
-  double density = SparseRouter::MeasureDensity(ops);
-  bool routed = SparseRouter::Get().ShouldRoute(density);
-  LogRouteOnce(&route_logged_, "DynamicVertexMix", density, routed);
+  double density = MeasureDensity(ops);
+  bool routed = ShouldRouteSparse(density);
+  // First decision only: the dynamic-topology loop would otherwise emit
+  // thousands of identical lines per step.
+  if (!std::exchange(route_logged_, true)) {
+    LogRoute("DynamicVertexMix", density, routed);
+  }
   if (routed) {
     // One CSR compression per frame, reused across the C channels;
     // channels write disjoint output rows, so the per-frame channel
@@ -349,8 +295,7 @@ Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) 
   const float* pg = grad_output.data();
   const float* pops = ops_.data();
   float* pgi = grad_input.data();
-  double density = SparseRouter::MeasureDensity(ops_);
-  if (SparseRouter::Get().ShouldRoute(density)) {
+  if (ShouldRouteSparse(MeasureDensity(ops_))) {
     // Same float scatter order as the dense loop below; channels own
     // disjoint grad rows, so the channel loop parallelizes.
     for (int64_t b = 0; b < n; ++b) {
@@ -415,153 +360,6 @@ void DynamicVertexMix::BackwardInto(const Tensor& grad_output, Workspace& ws,
                                     Tensor* grad_input) {
   DHGCN_CHECK(grad_input != nullptr);
   *grad_input = BackwardImpl(grad_output, &ws);
-}
-
-LearnableHyperedgeMix::LearnableHyperedgeMix(const Hypergraph& hypergraph) {
-  int64_t nv = hypergraph.num_vertices();
-  int64_t ne = hypergraph.num_edges();
-  Tensor h = hypergraph.IncidenceMatrix();
-  std::vector<float> dv = hypergraph.VertexDegrees();
-  std::vector<int64_t> de = hypergraph.EdgeDegrees();
-  left_ = Tensor({nv, ne});
-  right_ = Tensor({ne, nv});
-  for (int64_t v = 0; v < nv; ++v) {
-    float inv_sqrt_dv = dv[static_cast<size_t>(v)] > 0.0f
-                            ? 1.0f / std::sqrt(dv[static_cast<size_t>(v)])
-                            : 0.0f;
-    for (int64_t e = 0; e < ne; ++e) {
-      float he = h.at(v, e);
-      if (he == 0.0f) continue;
-      left_.at(v, e) =
-          inv_sqrt_dv * he /
-          static_cast<float>(de[static_cast<size_t>(e)]);
-      right_.at(e, v) = he * inv_sqrt_dv;
-    }
-  }
-  weights_ = Tensor::Ones({ne});
-  weights_grad_ = Tensor({ne});
-  // The incidence factors never change after construction: compress
-  // them once and cache the routing probe.
-  left_csr_.AssignFromDense(left_);
-  right_csr_.AssignFromDense(right_);
-  incidence_density_ = right_csr_.Density();
-}
-
-Tensor LearnableHyperedgeMix::ForwardImpl(const Tensor& input,
-                                          Workspace* ws) {
-  DHGCN_CHECK_EQ(input.ndim(), 4);
-  int64_t v = input.dim(3);
-  DHGCN_CHECK_EQ(v, left_.dim(0));
-  int64_t ne = left_.dim(1);
-  int64_t rows = input.numel() / v;
-  cached_input_shape_ = input.shape();
-
-  // Z = R X^T-per-row: edge features per leading row. The routed
-  // branch runs the same ascending-column double dots with the
-  // incidence zeros skipped (exact no-ops) — bit-identical to the
-  // dense transposed-B kernel.
-  bool routed = SparseRouter::Get().ShouldRoute(incidence_density_);
-  LogRouteOnce(&route_logged_, "LearnableHyperedgeMix", incidence_density_,
-               routed);
-  Tensor x2d = input.Reshape({rows, v});
-  cached_edge_features_ = NewTensor(ws, {rows, ne});  // (rows, E)
-  if (routed) {
-    SpMMTransposedBInto(x2d, right_csr_, &cached_edge_features_);
-  } else {
-    // lint: allow-sparse-route (router dense fallback)
-    MatMulTransposedBInto(x2d, right_, &cached_edge_features_);
-  }
-  // Y = (w .* Z) L^T.
-  Tensor scaled = NewTensor(ws, {rows, ne});
-  scaled.CopyFrom(cached_edge_features_);
-  float* ps = scaled.data();
-  const float* pw = weights_.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t e = 0; e < ne; ++e) ps[r * ne + e] *= pw[e];
-  }
-  Tensor y = NewTensor(ws, {rows, v});
-  if (routed) {
-    SpMMTransposedBInto(scaled, left_csr_, &y);
-  } else {
-    // lint: allow-sparse-route (router dense fallback)
-    MatMulTransposedBInto(scaled, left_, &y);
-  }
-  return y.Reshape(cached_input_shape_);
-}
-
-Tensor LearnableHyperedgeMix::BackwardImpl(const Tensor& grad_output,
-                                           Workspace* ws) {
-  DHGCN_CHECK(ShapesEqual(grad_output.shape(), cached_input_shape_));
-  int64_t v = left_.dim(0);
-  int64_t ne = left_.dim(1);
-  int64_t rows = grad_output.numel() / v;
-  Tensor g2d = grad_output.Reshape({rows, v});
-  // dP = dY L, where P = w .* Z. L is the scaled incidence matrix —
-  // mostly zeros — so route through true CSR when the density policy
-  // says so; the CSR scatter runs the exact operation sequence of the
-  // GemmHint::kSparse reference kernel (ascending k, zero rows
-  // skipped), so both branches are bit-identical.
-  bool routed = SparseRouter::Get().ShouldRoute(incidence_density_);
-  Tensor dp = NewTensor(ws, {rows, ne});  // (rows, E)
-  if (routed) {
-    DenseSpMMInto(g2d, left_csr_, &dp);
-  } else {
-    // lint: allow-sparse-route (router dense fallback)
-    MatMulInto(g2d, left_, &dp, /*accumulate=*/false, GemmHint::kSparse);
-  }
-  // dw[e] += sum_r dP[r,e] Z[r,e];  dZ = w .* dP.
-  const float* pz = cached_edge_features_.data();
-  const float* pw = weights_.data();
-  float* pgw = weights_grad_.data();
-  float* pdp = dp.data();
-  for (int64_t e = 0; e < ne; ++e) {
-    double acc = 0.0;
-    for (int64_t r = 0; r < rows; ++r) {
-      acc += static_cast<double>(pdp[r * ne + e]) * pz[r * ne + e];
-    }
-    pgw[e] += static_cast<float>(acc);
-  }
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t e = 0; e < ne; ++e) pdp[r * ne + e] *= pw[e];
-  }
-  // dX = dZ R, with R the other incidence-sparse operator.
-  Tensor dx = NewTensor(ws, {rows, v});  // (rows, V)
-  if (routed) {
-    DenseSpMMInto(dp, right_csr_, &dx);
-  } else {
-    // lint: allow-sparse-route (router dense fallback)
-    MatMulInto(dp, right_, &dx, /*accumulate=*/false, GemmHint::kSparse);
-  }
-  return dx.Reshape(cached_input_shape_);
-}
-
-Tensor LearnableHyperedgeMix::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor LearnableHyperedgeMix::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void LearnableHyperedgeMix::ForwardInto(const Tensor& input, Workspace& ws,
-                                        Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void LearnableHyperedgeMix::BackwardInto(const Tensor& grad_output,
-                                         Workspace& ws, Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
-std::vector<ParamRef> LearnableHyperedgeMix::Params() {
-  return {{"edge_weights", &weights_, &weights_grad_}};
-}
-
-std::string LearnableHyperedgeMix::name() const {
-  return StrCat("LearnableHyperedgeMix(V=", left_.dim(0),
-                ", E=", left_.dim(1), ")");
 }
 
 }  // namespace dhgcn

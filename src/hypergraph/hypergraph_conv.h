@@ -2,7 +2,6 @@
 #define DHGCN_HYPERGRAPH_HYPERGRAPH_CONV_H_
 
 #include <string>
-#include <vector>
 
 #include "hypergraph/hypergraph.h"
 #include "nn/layer.h"
@@ -27,24 +26,25 @@ Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
 Tensor WeightedIncidenceOperator(const Tensor& imp,
                                  Workspace* ws = nullptr);
 
-/// \brief Applies a (V, V) vertex-mixing operator to (N, C, T, V) inputs:
+/// \brief Applies a fixed (V, V) vertex-mixing operator to (N, C, T, V)
+/// inputs:
 ///   Y[n,c,t,v] = sum_u M[v,u] X[n,c,t,u].
 ///
 /// This is the aggregation half of both graph and hypergraph convolution;
 /// composing it with a 1x1 Conv2d gives the full X^(l+1) = sigma(M X Theta)
-/// update. The operator may be a fixed structure matrix or learnable (the
-/// B matrix of 2s-AGCN).
+/// update. The operator is fixed structure, so its density is measured
+/// once at construction: an operator at or below the CSR crossover runs
+/// the CSR kernels, a denser one (PB-HGCN's part operators) the dense
+/// loops. Both produce the same bits.
 class VertexMix : public Layer {
  public:
-  /// `learnable` makes the operator a trainable parameter.
-  VertexMix(Tensor op, bool learnable = false);
+  explicit VertexMix(Tensor op);
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
   void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
   void BackwardInto(const Tensor& grad_output, Workspace& ws,
                     Tensor* grad_input) override;
-  std::vector<ParamRef> Params() override;
   std::string name() const override;
   int64_t Record(PlanBuilder& builder, int64_t in) override;
 
@@ -54,27 +54,16 @@ class VertexMix : public Layer {
   void MixPlan(const Tensor& input, Tensor* out) const;
 
   const Tensor& op() const { return op_; }
-  Tensor& mutable_op() { return op_; }
 
  private:
   Tensor ForwardImpl(const Tensor& input, Workspace* ws);
   Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
-  /// Density-policy decision for this operator; builds/refreshes the
-  /// CSR image when routing sparse. Cached for fixed operators,
-  /// re-probed per call for learnable ones (the weights move every
-  /// optimizer step — and pruning is what *creates* their sparsity).
-  bool RouteSparse() const;
 
-  Tensor op_;       // (V, V)
-  Tensor op_grad_;  // (V, V)
-  bool learnable_;
+  Tensor op_;  // (V, V)
   Tensor cached_input_;
-
-  // Routing cache (mutable: MixPlan is const on the plan-replay path).
-  mutable CsrMatrix op_csr_{1, 1};
-  mutable double op_density_ = 1.0;
-  mutable bool csr_valid_ = false;
-  mutable bool route_logged_ = false;
+  // Routing decision and CSR image, fixed at construction.
+  bool routed_ = false;
+  CsrMatrix op_csr_{1, 1};
 };
 
 /// \brief Applies per-sample, per-frame (V, V) operators to (N, C, T, V):
@@ -114,50 +103,6 @@ class DynamicVertexMix : public Layer {
   /// Per-frame CSR scratch for the routed path; capacity is reused
   /// across frames and steps (mutable: MixPlan is const).
   mutable CsrMatrix frame_csr_{1, 1};
-  mutable bool route_logged_ = false;
-};
-
-/// \brief Hypergraph aggregation with *learnable hyperedge weights* — the
-/// W of Eq. 5 treated as a trainable parameter instead of fixed at 1
-/// (the "semi-dynamic hypergraph" idea of the paper's reference [23]).
-///
-/// The operator is factored as  Y = L diag(w) R X  with
-///   L = Dv^{-1/2} H De^{-1}   (V, E)
-///   R = H^T Dv^{-1/2}         (E, V)
-/// where the degree normalizations are computed from the initial unit
-/// weights (the standard approximation that keeps the factorization
-/// linear in w). `w` is initialized to 1, so an untrained layer equals
-/// the fixed `NormalizedHypergraphOperator` aggregation exactly.
-class LearnableHyperedgeMix : public Layer {
- public:
-  explicit LearnableHyperedgeMix(const Hypergraph& hypergraph);
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
-  std::vector<ParamRef> Params() override;
-  std::string name() const override;
-
-  const Tensor& edge_weights() const { return weights_; }
-
- private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
-
-  Tensor left_;      // (V, E)
-  Tensor right_;     // (E, V)
-  Tensor weights_;   // (E), learnable
-  Tensor weights_grad_;
-  Tensor cached_edge_features_;  // Z = R X per leading row, (rows, E)
-  Shape cached_input_shape_;
-
-  // CSR images of the fixed incidence factors, built once in the
-  // constructor; `incidence_density_` is the cached routing probe.
-  CsrMatrix left_csr_{1, 1};
-  CsrMatrix right_csr_{1, 1};
-  double incidence_density_ = 1.0;
   mutable bool route_logged_ = false;
 };
 

@@ -172,7 +172,7 @@ LayerPtr MakeFixedOperatorSpatial(int64_t in_channels, int64_t out_channels,
                                   Tensor op, Rng& rng) {
   auto seq = std::make_unique<Sequential>();
   seq->Emplace<Conv2d>(in_channels, out_channels, Conv2dOptions{}, rng);
-  seq->Emplace<VertexMix>(std::move(op), /*learnable=*/false);
+  seq->Emplace<VertexMix>(std::move(op));
   return seq;
 }
 

@@ -105,12 +105,6 @@ void BiasedBlockedRows(const float* a, const float* bp, const float* bias,
 
 }  // namespace
 
-bool Conv2d::use_im2col_ = true;
-
-void Conv2d::SetUseIm2col(bool use) { use_im2col_ = use; }
-
-bool Conv2d::use_im2col() { return use_im2col_; }
-
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels,
                const Conv2dOptions& options, Rng& rng)
     : in_channels_(in_channels),
@@ -190,11 +184,7 @@ void Conv2d::RunForward(const Tensor& input, const float* pw,
     RunPointwise(input, pw, pb, out);
     return;
   }
-  if (use_im2col_) {
-    RunIm2col(input, pw, pb, oh, ow, out);
-    return;
-  }
-  RunDirect(input, pw, pb, oh, ow, out);
+  RunIm2col(input, pw, pb, oh, ow, out);
 }
 
 void Conv2d::RunPointwise(const Tensor& input, const float* pw,
@@ -284,57 +274,6 @@ void Conv2d::RunIm2col(const Tensor& input, const float* pw, const float* pb,
         });
   }
   scratch.Reset();
-}
-
-void Conv2d::RunDirect(const Tensor& input, const float* pw,
-                       const float* pb, int64_t oh, int64_t ow,
-                       Tensor* out) const {
-  const Conv2dOptions& o = options_;
-  int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const float* px = input.data();
-  const float* pbias = pb;
-  float* po = out->data();
-  int64_t in_plane = h * w;
-  int64_t out_plane = oh * ow;
-  int64_t kernel_plane = o.kernel_h * o.kernel_w;
-
-  // Direct convolution, parallel over the n * C_out output planes; each
-  // output element is an independent double accumulation.
-  ThreadPool::Get().ParallelFor(
-      0, n * out_channels_,
-      GrainForFlops(out_plane * in_channels_ * kernel_plane),
-      [&](int64_t p0, int64_t p1) {
-        for (int64_t p = p0; p < p1; ++p) {
-          int64_t b = p / out_channels_;
-          int64_t oc = p % out_channels_;
-          const float* xb = px + b * in_channels_ * in_plane;
-          const float* wc = pw + oc * in_channels_ * kernel_plane;
-          float* oplane = po + p * out_plane;
-          float bias_v = pbias != nullptr ? pbias[oc] : 0.0f;
-          for (int64_t oy = 0; oy < oh; ++oy) {
-            for (int64_t ox = 0; ox < ow; ++ox) {
-              double acc = bias_v;
-              int64_t iy0 = oy * o.stride_h - o.pad_h;
-              int64_t ix0 = ox * o.stride_w - o.pad_w;
-              for (int64_t ic = 0; ic < in_channels_; ++ic) {
-                const float* xplane = xb + ic * in_plane;
-                const float* wplane = wc + ic * kernel_plane;
-                for (int64_t ky = 0; ky < o.kernel_h; ++ky) {
-                  int64_t iy = iy0 + ky * o.dilation_h;
-                  if (iy < 0 || iy >= h) continue;
-                  for (int64_t kx = 0; kx < o.kernel_w; ++kx) {
-                    int64_t ix = ix0 + kx * o.dilation_w;
-                    if (ix < 0 || ix >= w) continue;
-                    acc += static_cast<double>(xplane[iy * w + ix]) *
-                           wplane[ky * o.kernel_w + kx];
-                  }
-                }
-              }
-              oplane[oy * ow + ox] = static_cast<float>(acc);
-            }
-          }
-        }
-      });
 }
 
 Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
@@ -431,8 +370,7 @@ Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
     return grad_input;
   }
 
-  if (use_im2col_) return BackwardIm2col(grad_output, ws);
-  return BackwardDirect(grad_output, ws);
+  return BackwardIm2col(grad_output, ws);
 }
 
 Tensor Conv2d::BackwardIm2col(const Tensor& grad_output, Workspace* ws) {
@@ -512,104 +450,6 @@ Tensor Conv2d::BackwardIm2col(const Tensor& grad_output, Workspace* ws) {
         });
   }
   scratch.Reset();
-  return grad_input;
-}
-
-Tensor Conv2d::BackwardDirect(const Tensor& grad_output, Workspace* ws) {
-  const Conv2dOptions& o = options_;
-  const Tensor& input = cached_input_;
-  int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  int64_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  Tensor grad_input = NewZeroedTensor(ws, input.shape());
-  const float* px = input.data();
-  const float* pw = weight_.data();
-  const float* pg = grad_output.data();
-  float* pgi = grad_input.data();
-  float* pgw = weight_grad_.data();
-  float* pbg = o.has_bias ? bias_grad_.data() : nullptr;
-  int64_t in_plane = h * w;
-  int64_t out_plane = oh * ow;
-  int64_t kernel_plane = o.kernel_h * o.kernel_w;
-  int64_t flops_per_pair =
-      out_plane * in_channels_ * kernel_plane;  // one (b, oc) sweep
-
-  // Two passes over the same (b, oc, oy, ox, ic, ky, kx) traversal, so
-  // each parallel phase writes disjoint outputs while every gradient
-  // element still receives its contributions in the serial order:
-  // grad_input[b,...] accumulates over ascending oc (batch-parallel),
-  // weight/bias grads [oc,...] accumulate over ascending b
-  // (out-channel-parallel).
-  ThreadPool::Get().ParallelFor(
-      0, n, GrainForFlops(out_channels_ * flops_per_pair),
-      [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-          float* gib = pgi + b * in_channels_ * in_plane;
-          const float* gb = pg + b * out_channels_ * out_plane;
-          for (int64_t oc = 0; oc < out_channels_; ++oc) {
-            const float* wc = pw + oc * in_channels_ * kernel_plane;
-            const float* gplane = gb + oc * out_plane;
-            for (int64_t oy = 0; oy < oh; ++oy) {
-              for (int64_t ox = 0; ox < ow; ++ox) {
-                float g = gplane[oy * ow + ox];
-                if (g == 0.0f) continue;
-                int64_t iy0 = oy * o.stride_h - o.pad_h;
-                int64_t ix0 = ox * o.stride_w - o.pad_w;
-                for (int64_t ic = 0; ic < in_channels_; ++ic) {
-                  float* giplane = gib + ic * in_plane;
-                  const float* wplane = wc + ic * kernel_plane;
-                  for (int64_t ky = 0; ky < o.kernel_h; ++ky) {
-                    int64_t iy = iy0 + ky * o.dilation_h;
-                    if (iy < 0 || iy >= h) continue;
-                    for (int64_t kx = 0; kx < o.kernel_w; ++kx) {
-                      int64_t ix = ix0 + kx * o.dilation_w;
-                      if (ix < 0 || ix >= w) continue;
-                      giplane[iy * w + ix] +=
-                          g * wplane[ky * o.kernel_w + kx];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
-  ThreadPool::Get().ParallelFor(
-      0, out_channels_, GrainForFlops(n * flops_per_pair),
-      [&](int64_t o0, int64_t o1) {
-        for (int64_t oc = o0; oc < o1; ++oc) {
-          float* gwc = pgw + oc * in_channels_ * kernel_plane;
-          for (int64_t b = 0; b < n; ++b) {
-            const float* xb = px + b * in_channels_ * in_plane;
-            const float* gplane =
-                pg + (b * out_channels_ + oc) * out_plane;
-            double bias_acc = 0.0;
-            for (int64_t oy = 0; oy < oh; ++oy) {
-              for (int64_t ox = 0; ox < ow; ++ox) {
-                float g = gplane[oy * ow + ox];
-                if (g == 0.0f) continue;
-                bias_acc += g;
-                int64_t iy0 = oy * o.stride_h - o.pad_h;
-                int64_t ix0 = ox * o.stride_w - o.pad_w;
-                for (int64_t ic = 0; ic < in_channels_; ++ic) {
-                  const float* xplane = xb + ic * in_plane;
-                  float* gwplane = gwc + ic * kernel_plane;
-                  for (int64_t ky = 0; ky < o.kernel_h; ++ky) {
-                    int64_t iy = iy0 + ky * o.dilation_h;
-                    if (iy < 0 || iy >= h) continue;
-                    for (int64_t kx = 0; kx < o.kernel_w; ++kx) {
-                      int64_t ix = ix0 + kx * o.dilation_w;
-                      if (ix < 0 || ix >= w) continue;
-                      gwplane[ky * o.kernel_w + kx] +=
-                          g * xplane[iy * w + ix];
-                    }
-                  }
-                }
-              }
-            }
-            if (pbg != nullptr) pbg[oc] += static_cast<float>(bias_acc);
-          }
-        }
-      });
   return grad_input;
 }
 

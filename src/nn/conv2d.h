@@ -28,8 +28,10 @@ struct Conv2dOptions {
 
 /// \brief 2-D convolution over (N, C, H, W) inputs.
 ///
-/// Direct (loop-based) implementation; output spatial size follows the
-/// usual formula out = (in + 2*pad - dilation*(k-1) - 1)/stride + 1.
+/// 1x1 convolutions run as per-batch GEMMs, every other shape is lowered
+/// through im2col onto the blocked GEMM (see DESIGN.md §10). Output
+/// spatial size follows the usual formula
+/// out = (in + 2*pad - dilation*(k-1) - 1)/stride + 1.
 class Conv2d : public Layer {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels,
@@ -63,13 +65,6 @@ class Conv2d : public Layer {
   static int64_t OutputDim(int64_t in, int64_t kernel, int64_t stride,
                            int64_t pad, int64_t dilation);
 
-  /// Process-wide toggle between the im2col+GEMM lowering (default) and
-  /// the direct loop nest for the general (non-pointwise) path. The
-  /// direct path is retained as the equivalence/benchmark baseline; the
-  /// two differ numerically only within float-rounding tolerance.
-  static void SetUseIm2col(bool use);
-  static bool use_im2col();
-
  private:
   Tensor ForwardImpl(const Tensor& input, Workspace* ws);
   Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
@@ -77,18 +72,14 @@ class Conv2d : public Layer {
   /// here, parameterized by raw weight/bias pointers and a pre-allocated
   /// destination (every element of `out` is written). Im2col lowers each
   /// batch onto the blocked GEMM (scratch columns from
-  /// detail::KernelOpScratch), direct is the original seven-deep loop
-  /// nest.
+  /// detail::KernelOpScratch).
   void RunForward(const Tensor& input, const float* pw, const float* pb,
                   int64_t oh, int64_t ow, Tensor* out) const;
   void RunPointwise(const Tensor& input, const float* pw, const float* pb,
                     Tensor* out) const;
   void RunIm2col(const Tensor& input, const float* pw, const float* pb,
                  int64_t oh, int64_t ow, Tensor* out) const;
-  void RunDirect(const Tensor& input, const float* pw, const float* pb,
-                 int64_t oh, int64_t ow, Tensor* out) const;
   Tensor BackwardIm2col(const Tensor& grad_output, Workspace* ws);
-  Tensor BackwardDirect(const Tensor& grad_output, Workspace* ws);
 
   /// 1x1/stride-1/unpadded convolutions (the channel mixers, which
   /// dominate the skeleton models) reduce to per-batch GEMMs.
@@ -104,8 +95,6 @@ class Conv2d : public Layer {
   Tensor bias_grad_;
 
   Tensor cached_input_;  // (N, C, H, W)
-
-  static bool use_im2col_;
 };
 
 }  // namespace dhgcn

@@ -1,7 +1,6 @@
 #include "nn/pooling.h"
 
 #include "base/check.h"
-#include "base/string_util.h"
 #include "plan/plan_builder.h"
 #include "tensor/workspace.h"
 
@@ -65,67 +64,6 @@ Tensor GlobalAvgPool2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-TemporalAvgPool::TemporalAvgPool(int64_t kernel, int64_t stride)
-    : kernel_(kernel), stride_(stride) {
-  DHGCN_CHECK_GT(kernel, 0);
-  DHGCN_CHECK_GT(stride, 0);
-}
-
-Tensor TemporalAvgPool::ForwardImpl(const Tensor& input, Workspace* ws) {
-  DHGCN_CHECK_EQ(input.ndim(), 4);
-  cached_input_shape_ = input.shape();
-  int64_t n = input.dim(0), c = input.dim(1), t = input.dim(2),
-          v = input.dim(3);
-  int64_t ot = (t - kernel_) / stride_ + 1;
-  DHGCN_CHECK_GT(ot, 0);
-  Tensor out = NewTensor(ws, {n, c, ot, v});
-  const float* px = input.data();
-  float* po = out.data();
-  float inv = 1.0f / static_cast<float>(kernel_);
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = px + (b * c + ch) * t * v;
-      float* oplane = po + (b * c + ch) * ot * v;
-      for (int64_t oy = 0; oy < ot; ++oy) {
-        for (int64_t x = 0; x < v; ++x) {
-          double sum = 0.0;
-          for (int64_t k = 0; k < kernel_; ++k) {
-            sum += plane[(oy * stride_ + k) * v + x];
-          }
-          oplane[oy * v + x] = static_cast<float>(sum) * inv;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor TemporalAvgPool::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
-  int64_t n = cached_input_shape_[0], c = cached_input_shape_[1],
-          t = cached_input_shape_[2], v = cached_input_shape_[3];
-  int64_t ot = grad_output.dim(2);
-  Tensor grad_input = NewZeroedTensor(ws, cached_input_shape_);
-  const float* pg = grad_output.data();
-  float* po = grad_input.data();
-  float inv = 1.0f / static_cast<float>(kernel_);
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* gplane = pg + (b * c + ch) * ot * v;
-      float* iplane = po + (b * c + ch) * t * v;
-      for (int64_t oy = 0; oy < ot; ++oy) {
-        for (int64_t x = 0; x < v; ++x) {
-          float g = gplane[oy * v + x] * inv;
-          for (int64_t k = 0; k < kernel_; ++k) {
-            iplane[(oy * stride_ + k) * v + x] += g;
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
-
 Tensor GlobalAvgPool2d::Forward(const Tensor& input) {
   return ForwardImpl(input, nullptr);
 }
@@ -144,30 +82,6 @@ void GlobalAvgPool2d::BackwardInto(const Tensor& grad_output, Workspace& ws,
                                    Tensor* grad_input) {
   DHGCN_CHECK(grad_input != nullptr);
   *grad_input = BackwardImpl(grad_output, &ws);
-}
-
-Tensor TemporalAvgPool::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor TemporalAvgPool::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void TemporalAvgPool::ForwardInto(const Tensor& input, Workspace& ws,
-                                  Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void TemporalAvgPool::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                                   Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
-std::string TemporalAvgPool::name() const {
-  return StrCat("TemporalAvgPool(k=", kernel_, ", s=", stride_, ")");
 }
 
 }  // namespace dhgcn

@@ -33,28 +33,6 @@ class GlobalAvgPool2d : public Layer {
   Shape cached_input_shape_;
 };
 
-/// \brief Average pooling over the time axis only: (N, C, T, V) ->
-/// (N, C, T/stride, V) with a (k,1) window. Used by down-sampling variants.
-class TemporalAvgPool : public Layer {
- public:
-  TemporalAvgPool(int64_t kernel, int64_t stride);
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
-  std::string name() const override;
-
- private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
-
-  int64_t kernel_;
-  int64_t stride_;
-  Shape cached_input_shape_;
-};
-
 }  // namespace dhgcn
 
 #endif  // DHGCN_NN_POOLING_H_

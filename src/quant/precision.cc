@@ -26,7 +26,7 @@ const char* PrecisionName(Precision precision) {
 Result<Precision> ResolvePrecision(const std::string& flag_text) {
   if (!flag_text.empty()) return ParsePrecision(flag_text);
   // Read once at first use; flag parsing happens on the main thread
-  // before any compute, the same contract as DHGCN_SPARSE.
+  // before any compute, the same contract as DHGCN_THREADS.
   static const std::string* env_value = [] {
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     const char* env = std::getenv("DHGCN_PRECISION");

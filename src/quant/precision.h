@@ -20,8 +20,8 @@ Result<Precision> ParsePrecision(const std::string& text);
 const char* PrecisionName(Precision precision);
 
 /// Resolves the effective precision: a non-empty `flag_text` wins,
-/// otherwise `DHGCN_PRECISION` (read once at first use, the
-/// SparseRouter env convention), otherwise fp32.
+/// otherwise `DHGCN_PRECISION` (read once at first use), otherwise
+/// fp32.
 Result<Precision> ResolvePrecision(const std::string& flag_text);
 
 }  // namespace dhgcn

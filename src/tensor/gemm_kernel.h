@@ -21,8 +21,8 @@ namespace detail {
 //
 // Numerics: accumulation order differs from the reference i-k-j kernel
 // (per-k-block register accumulation, then one += into C per block), so
-// results match the reference to rounding, not bit-for-bit. The retained
-// GemmReferenceAccumulate is the equivalence baseline.
+// results match the reference to rounding, not bit-for-bit. The
+// reference row kernel in tests/oracles.h is the equivalence baseline.
 // ---------------------------------------------------------------------------
 
 /// Register-tile rows per micro-kernel invocation.

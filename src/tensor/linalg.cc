@@ -28,24 +28,6 @@ void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
-// The original kernel, zero-skip included: the GemmHint::kSparse path
-// for incidence-style operands, and the reference the equivalence tests
-// measure the blocked kernel against. Per-element accumulation order is
-// identical to GemmAccumulate (the skip only elides exact-zero terms).
-void GemmReferenceAccumulate(const float* a, const float* b, float* c,
-                             int64_t m, int64_t k, int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (int64_t p = 0; p < k; ++p) {
-      float av = arow[p];
-      if (av == 0.0f) continue;  // sparse-ish operands (incidence matrices)
-      const float* brow = b + p * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 // Column-range slice of the A^T * B kernel: updates only columns
 // [j0, j1) of C. The per-element accumulation order (ascending p) is
 // identical to the full kernel, so splitting the column range across
@@ -139,16 +121,7 @@ void ParallelGemmBlocked(const float* a, const float* b, float* c, int64_t m,
 // Shared core of MatMul/MatMulInto: row chunks of the output are
 // disjoint, each computed by the exact serial kernel.
 void ParallelGemm(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n, GemmHint hint) {
-  if (hint == GemmHint::kSparse) {
-    // Zero-skipping row kernel; packing would densify the operand.
-    ThreadPool::Get().ParallelFor(
-        0, m, GrainForFlops(k * n), [&](int64_t r0, int64_t r1) {
-          detail::GemmReferenceAccumulate(a + r0 * k, b, c + r0 * n, r1 - r0,
-                                          k, n);
-        });
-    return;
-  }
+                  int64_t k, int64_t n) {
   if (detail::GemmUseBlocked(m, k, n)) {
     ParallelGemmBlocked(a, b, c, m, k, n);
     return;
@@ -167,12 +140,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   DHGCN_CHECK_EQ(a.dim(1), b.dim(0));
   int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Tensor out({m, n});
-  ParallelGemm(a.data(), b.data(), out.data(), m, k, n, GemmHint::kDense);
+  ParallelGemm(a.data(), b.data(), out.data(), m, k, n);
   return out;
 }
 
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
-                bool accumulate, GemmHint hint) {
+                bool accumulate) {
   DHGCN_CHECK(out != nullptr);
   DHGCN_CHECK_EQ(a.ndim(), 2);
   DHGCN_CHECK_EQ(b.ndim(), 2);
@@ -181,8 +154,7 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
   DHGCN_CHECK_EQ(out->dim(0), a.dim(0));
   DHGCN_CHECK_EQ(out->dim(1), b.dim(1));
   if (!accumulate) ZeroFill(out);
-  ParallelGemm(a.data(), b.data(), out->data(), a.dim(0), a.dim(1), b.dim(1),
-               hint);
+  ParallelGemm(a.data(), b.data(), out->data(), a.dim(0), a.dim(1), b.dim(1));
 }
 
 Tensor BatchedMatMul(const Tensor& a, const Tensor& b) {

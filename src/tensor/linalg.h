@@ -32,31 +32,16 @@ void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
 // allocating functions above, so results are bit-identical.
 // ---------------------------------------------------------------------------
 
-/// Caller-supplied knowledge about operand density. The default dense
-/// path runs branch-free (cache-blocked when the shape warrants, see
-/// tensor/gemm_kernel.h); kSparse routes the product through the
-/// retained zero-skipping row kernel, which wins when an operand is an
-/// incidence-style matrix that is mostly zeros.
-enum class GemmHint {
-  kDense,
-  kSparse,
-};
-
 namespace detail {
 // Raw-pointer GEMM kernels shared by every entry point above/below (one
 // accumulation order per kernel family => bit-identical results across
 // APIs; the blocked kernel in tensor/gemm_kernel.h uses a different —
 // still shape-pure — accumulation order and is equivalence-tested
-// against GemmReferenceAccumulate rather than bit-compared).
+// against the reference row kernel of tests/oracles.h rather than
+// bit-compared).
 // All operands row-major; Gemm and GemmTransposedA accumulate into c.
 void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n);
-// The original i-k-j row kernel with the `av == 0.0f` skip. Serves two
-// roles: the GemmHint::kSparse fast path, and the reference
-// implementation the kernel-equivalence tests compare the blocked
-// kernel against.
-void GemmReferenceAccumulate(const float* a, const float* b, float* c,
-                             int64_t m, int64_t k, int64_t n);
 void GemmTransposedAAccumulate(const float* a, const float* b, float* c,
                                int64_t k, int64_t m, int64_t n);
 // Column-range slice of GemmTransposedAAccumulate: touches only columns
@@ -69,7 +54,7 @@ void GemmTransposedB(const float* a, const float* b, float* c, int64_t m,
 }  // namespace detail
 
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
-                bool accumulate = false, GemmHint hint = GemmHint::kDense);
+                bool accumulate = false);
 void BatchedMatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
                        bool accumulate = false);
 void MatMulTransposedAInto(const Tensor& a, const Tensor& b, Tensor* out,

@@ -1,38 +1,30 @@
 #include "tensor/sparse.h"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <tuple>
 
 #include "base/check.h"
 #include "base/thread_pool.h"
 
 namespace dhgcn {
 
+double MeasureDensity(const float* data, int64_t numel) {
+  if (numel <= 0) return 0.0;
+  int64_t nonzero = 0;
+  for (int64_t i = 0; i < numel; ++i) {
+    if (data[i] != 0.0f) ++nonzero;
+  }
+  return static_cast<double>(nonzero) / static_cast<double>(numel);
+}
+
+double MeasureDensity(const Tensor& t) {
+  return MeasureDensity(t.data(), t.numel());
+}
+
 CsrMatrix::CsrMatrix(int64_t rows, int64_t cols)
     : rows_(rows), cols_(cols),
       row_ptr_(static_cast<size_t>(rows) + 1, 0) {
   DHGCN_CHECK_GT(rows, 0);
   DHGCN_CHECK_GT(cols, 0);
-}
-
-CsrMatrix CsrMatrix::FromDense(const Tensor& dense, float tolerance) {
-  DHGCN_CHECK_EQ(dense.ndim(), 2);
-  CsrMatrix csr(dense.dim(0), dense.dim(1));
-  const float* data = dense.data();
-  for (int64_t r = 0; r < csr.rows_; ++r) {
-    for (int64_t c = 0; c < csr.cols_; ++c) {
-      float v = data[r * csr.cols_ + c];
-      if (std::fabs(v) > tolerance) {
-        csr.col_idx_.push_back(c);
-        csr.values_.push_back(v);
-      }
-    }
-    csr.row_ptr_[static_cast<size_t>(r) + 1] =
-        static_cast<int64_t>(csr.values_.size());
-  }
-  return csr;
 }
 
 void CsrMatrix::AssignFromDense(const float* data, int64_t rows,
@@ -62,210 +54,6 @@ void CsrMatrix::AssignFromDense(const float* data, int64_t rows,
 void CsrMatrix::AssignFromDense(const Tensor& dense, float tolerance) {
   DHGCN_CHECK_EQ(dense.ndim(), 2);
   AssignFromDense(dense.data(), dense.dim(0), dense.dim(1), tolerance);
-}
-
-CsrMatrix CsrMatrix::FromTriplets(
-    int64_t rows, int64_t cols,
-    std::vector<std::tuple<int64_t, int64_t, float>> triplets) {
-  CsrMatrix csr(rows, cols);
-  std::sort(triplets.begin(), triplets.end(),
-            [](const auto& a, const auto& b) {
-              if (std::get<0>(a) != std::get<0>(b)) {
-                return std::get<0>(a) < std::get<0>(b);
-              }
-              return std::get<1>(a) < std::get<1>(b);
-            });
-  int64_t previous_row = -1, previous_col = -1;
-  for (const auto& [r, c, v] : triplets) {
-    DHGCN_CHECK(r >= 0 && r < rows);
-    DHGCN_CHECK(c >= 0 && c < cols);
-    if (r == previous_row && c == previous_col) {
-      csr.values_.back() += v;  // sum duplicates
-      continue;
-    }
-    while (previous_row < r) {
-      ++previous_row;
-      csr.row_ptr_[static_cast<size_t>(previous_row)] =
-          static_cast<int64_t>(csr.values_.size());
-    }
-    csr.col_idx_.push_back(c);
-    csr.values_.push_back(v);
-    previous_col = c;
-  }
-  while (previous_row < rows - 1) {
-    ++previous_row;
-    csr.row_ptr_[static_cast<size_t>(previous_row)] =
-        static_cast<int64_t>(csr.values_.size());
-  }
-  // row_ptr_[0] must be 0; fix the off-by-one of the fill loop above.
-  // The loop sets row_ptr_[r] to the count *before* row r's entries,
-  // which is exactly the CSR convention given sorted input; the final
-  // sentinel holds the total.
-  csr.row_ptr_[static_cast<size_t>(rows)] =
-      static_cast<int64_t>(csr.values_.size());
-  return csr;
-}
-
-double CsrMatrix::Density() const {
-  return static_cast<double>(nnz()) /
-         (static_cast<double>(rows_) * static_cast<double>(cols_));
-}
-
-Tensor CsrMatrix::ToDense() const {
-  Tensor dense({rows_, cols_});
-  float* data = dense.data();
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-         k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-      data[r * cols_ + col_idx_[static_cast<size_t>(k)]] +=
-          values_[static_cast<size_t>(k)];
-    }
-  }
-  return dense;
-}
-
-CsrMatrix CsrMatrix::Transposed() const {
-  std::vector<std::tuple<int64_t, int64_t, float>> triplets;
-  triplets.reserve(values_.size());
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-         k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-      triplets.emplace_back(col_idx_[static_cast<size_t>(k)], r,
-                            values_[static_cast<size_t>(k)]);
-    }
-  }
-  return FromTriplets(cols_, rows_, std::move(triplets));
-}
-
-Tensor CsrMatrix::MatVec(const Tensor& x) const {
-  DHGCN_CHECK_EQ(x.numel(), cols_);
-  Tensor y({rows_});
-  const float* px = x.data();
-  float* py = y.data();
-  for (int64_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-         k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-      acc += static_cast<double>(values_[static_cast<size_t>(k)]) *
-             px[col_idx_[static_cast<size_t>(k)]];
-    }
-    py[r] = static_cast<float>(acc);
-  }
-  return y;
-}
-
-std::string CsrMatrix::ToString() const {
-  std::ostringstream oss;
-  oss << "CsrMatrix(" << rows_ << "x" << cols_ << ", nnz=" << nnz()
-      << ", density=" << Density() << ")";
-  return oss.str();
-}
-
-Tensor SpMM(const CsrMatrix& a, const Tensor& b) {
-  DHGCN_CHECK_EQ(b.ndim(), 2);
-  DHGCN_CHECK_EQ(b.dim(0), a.cols());
-  Tensor c({a.rows(), b.dim(1)});
-  SpMMInto(a, b, &c, /*accumulate=*/true);  // c is freshly zeroed
-  return c;
-}
-
-void SpMMAccumulate(const CsrMatrix& a, const Tensor& b, Tensor& c) {
-  SpMMInto(a, b, &c, /*accumulate=*/true);
-}
-
-void SpMMInto(const CsrMatrix& a, const Tensor& b, Tensor* c,
-              bool accumulate) {
-  DHGCN_CHECK(c != nullptr);
-  DHGCN_CHECK_EQ(b.ndim(), 2);
-  DHGCN_CHECK_EQ(c->ndim(), 2);
-  DHGCN_CHECK_EQ(b.dim(0), a.cols());
-  DHGCN_CHECK_EQ(c->dim(0), a.rows());
-  DHGCN_CHECK_EQ(c->dim(1), b.dim(1));
-  const int64_t n = b.dim(1);
-  const int64_t rows = a.rows();
-  const float* pb = b.data();
-  float* pc = c->data();
-  const int64_t* row_ptr = a.row_ptr().data();
-  const int64_t* col_idx = a.col_idx().data();
-  const float* values = a.values().data();
-  // Cost per output row ≈ nnz(row) * n MACs; use the mean so the grain
-  // stays a pure function of the matrix shape (determinism contract).
-  const int64_t flops_per_row = (a.nnz() * n) / (rows > 0 ? rows : 1) + 1;
-  ThreadPool::Get().ParallelFor(
-      0, rows, GrainForFlops(flops_per_row),
-      [&](int64_t row_begin, int64_t row_end) {
-        for (int64_t r = row_begin; r < row_end; ++r) {
-          float* crow = pc + r * n;
-          if (!accumulate) std::fill(crow, crow + n, 0.0f);
-          // Four nonzeros per pass over the output row: the per-element
-          // adds stay in ascending-k order (t += v0*..; t += v1*..; ...)
-          // so results are bit-identical to the single-k loop — the
-          // unroll only cuts the C-row read/write traffic 4x.
-          int64_t k = row_ptr[r];
-          const int64_t k_end = row_ptr[r + 1];
-          for (; k + 3 < k_end; k += 4) {
-            const float v0 = values[k];
-            const float v1 = values[k + 1];
-            const float v2 = values[k + 2];
-            const float v3 = values[k + 3];
-            const float* b0 = pb + col_idx[k] * n;
-            const float* b1 = pb + col_idx[k + 1] * n;
-            const float* b2 = pb + col_idx[k + 2] * n;
-            const float* b3 = pb + col_idx[k + 3] * n;
-            for (int64_t j = 0; j < n; ++j) {
-              float t = crow[j];
-              t += v0 * b0[j];
-              t += v1 * b1[j];
-              t += v2 * b2[j];
-              t += v3 * b3[j];
-              crow[j] = t;
-            }
-          }
-          for (; k < k_end; ++k) {
-            const float v = values[k];
-            const float* brow = pb + col_idx[k] * n;
-            for (int64_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-          }
-        }
-      });
-}
-
-void SpMMAccumulateInto(const CsrMatrix& a, const Tensor& b, Tensor* c) {
-  SpMMInto(a, b, c, /*accumulate=*/true);
-}
-
-void DenseSpMMInto(const Tensor& a, const CsrMatrix& b, Tensor* c,
-                   bool accumulate) {
-  DHGCN_CHECK(c != nullptr);
-  DHGCN_CHECK_EQ(a.ndim(), 2);
-  DHGCN_CHECK_EQ(c->ndim(), 2);
-  DHGCN_CHECK_EQ(a.dim(1), b.rows());
-  DHGCN_CHECK_EQ(c->dim(0), a.dim(0));
-  DHGCN_CHECK_EQ(c->dim(1), b.cols());
-  const int64_t m = a.dim(0);
-  const int64_t kk = a.dim(1);
-  const int64_t n = b.cols();
-  const float* pa = a.data();
-  float* pc = c->data();
-  const int64_t* row_ptr = b.row_ptr().data();
-  const int64_t* col_idx = b.col_idx().data();
-  const float* values = b.values().data();
-  ThreadPool::Get().ParallelFor(
-      0, m, GrainForFlops(b.nnz() + kk),
-      [&](int64_t row_begin, int64_t row_end) {
-        for (int64_t i = row_begin; i < row_end; ++i) {
-          const float* arow = pa + i * kk;
-          float* crow = pc + i * n;
-          if (!accumulate) std::fill(crow, crow + n, 0.0f);
-          for (int64_t k = 0; k < kk; ++k) {
-            const float av = arow[k];
-            if (av == 0.0f) continue;  // same skip as the dense kSparse path
-            for (int64_t idx = row_ptr[k]; idx < row_ptr[k + 1]; ++idx) {
-              crow[col_idx[idx]] += av * values[idx];
-            }
-          }
-        }
-      });
 }
 
 namespace {
@@ -353,61 +141,6 @@ void SparseMixBackwardInto(const CsrMatrix& op, const Tensor& g,
           }
         }
       });
-}
-
-SparseVertexMix::SparseVertexMix(CsrMatrix op)
-    : op_(std::move(op)), op_transposed_(op_.Transposed()) {
-  DHGCN_CHECK_EQ(op_.rows(), op_.cols());
-}
-
-SparseVertexMix::SparseVertexMix(const Tensor& dense_op, float tolerance)
-    : SparseVertexMix(CsrMatrix::FromDense(dense_op, tolerance)) {}
-
-namespace {
-
-// Y[row, v] = sum_u A[v, u] X[row, u] for every leading row: equivalent
-// to X * A^T, computed as row-wise sparse dots over the CSR of A.
-Tensor ApplyOnVertexAxis(const CsrMatrix& op, const Tensor& x) {
-  int64_t v = x.dim(3);
-  DHGCN_CHECK_EQ(v, op.cols());
-  int64_t rows = x.numel() / v;
-  Tensor y(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const auto& row_ptr = op.row_ptr();
-  const auto& col_idx = op.col_idx();
-  const auto& values = op.values();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xrow = px + r * v;
-    float* yrow = py + r * v;
-    for (int64_t vi = 0; vi < op.rows(); ++vi) {
-      double acc = 0.0;
-      for (int64_t k = row_ptr[static_cast<size_t>(vi)];
-           k < row_ptr[static_cast<size_t>(vi) + 1]; ++k) {
-        acc += static_cast<double>(values[static_cast<size_t>(k)]) *
-               xrow[col_idx[static_cast<size_t>(k)]];
-      }
-      yrow[vi] = static_cast<float>(acc);
-    }
-  }
-  return y;
-}
-
-}  // namespace
-
-Tensor SparseVertexMix::Forward(const Tensor& input) {
-  DHGCN_CHECK_EQ(input.ndim(), 4);
-  return ApplyOnVertexAxis(op_, input);
-}
-
-Tensor SparseVertexMix::Backward(const Tensor& grad_output) {
-  DHGCN_CHECK_EQ(grad_output.ndim(), 4);
-  // dX[..., u] = sum_v A[v, u] dY[..., v]  ==  apply A^T.
-  return ApplyOnVertexAxis(op_transposed_, grad_output);
-}
-
-std::string SparseVertexMix::name() const {
-  return "SparseVertexMix(" + op_.ToString() + ")";
 }
 
 }  // namespace dhgcn

@@ -2,60 +2,59 @@
 #define DHGCN_TENSOR_SPARSE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "nn/layer.h"
 #include "tensor/tensor.h"
 
 namespace dhgcn {
+
+/// Density crossover of the CSR kernels: an operand at or below it
+/// takes the CSR path, above it the dense loop. Measured by
+/// `bench_sparse` (BENCH_sparse.json) for CSR SpMM against the blocked
+/// GEMM on a 256x256 operand; in the same run the routed `VertexMix`
+/// still beat its dense loop 2.2x at 35% density, so the constant is
+/// conservative for the mix kernels.
+inline constexpr double kSparseDensityCrossover = 0.35;
+
+/// Fraction of nonzero entries in `[data, data + numel)`.
+double MeasureDensity(const float* data, int64_t numel);
+double MeasureDensity(const Tensor& t);
+
+/// The routing decision for an operand of the given density. The CSR
+/// kernels below are bit-identical to their dense counterparts, so the
+/// decision only picks the faster kernel, never the result.
+constexpr bool ShouldRouteSparse(double density) {
+  return density <= kSparseDensityCrossover;
+}
 
 /// \brief Compressed-sparse-row matrix.
 ///
 /// The structural operators of graph/hypergraph convolution (normalized
 /// adjacency, incidence products, K-NN operators) are sparse; this class
-/// provides the storage plus the SpMM kernels to exploit that. Values
-/// are float32, indices are int64, rows are stored in ascending column
+/// provides the storage plus the kernels to exploit that. Values are
+/// float32, indices are int64, rows are stored in ascending column
 /// order.
 class CsrMatrix {
  public:
   /// Empty rows x cols matrix (all zero).
   CsrMatrix(int64_t rows, int64_t cols);
 
-  /// Compresses a dense (rows, cols) tensor, dropping entries with
-  /// |value| <= tolerance.
-  static CsrMatrix FromDense(const Tensor& dense, float tolerance = 0.0f);
-
-  /// In-place rebuild from a dense row-major buffer, reusing the index
-  /// and value capacity of the previous build — the steady-state path
-  /// for data-dependent operators (dynamic topology, learnable mixes)
-  /// that re-compress every step without heap growth once warm.
+  /// In-place rebuild from a dense row-major buffer, dropping entries
+  /// with |value| <= tolerance and reusing the index and value capacity
+  /// of the previous build — the steady-state path for data-dependent
+  /// operators (dynamic topology) that re-compress every step without
+  /// heap growth once warm.
   void AssignFromDense(const float* data, int64_t rows, int64_t cols,
                        float tolerance = 0.0f);
   void AssignFromDense(const Tensor& dense, float tolerance = 0.0f);
 
-  /// Builds from coordinate triplets (duplicates are summed).
-  static CsrMatrix FromTriplets(
-      int64_t rows, int64_t cols,
-      std::vector<std::tuple<int64_t, int64_t, float>> triplets);
-
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t nnz() const { return static_cast<int64_t>(values_.size()); }
-  /// Fraction of nonzero entries.
-  double Density() const;
 
   const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<int64_t>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
-
-  Tensor ToDense() const;
-  CsrMatrix Transposed() const;
-
-  /// y = A x for a dense vector x (cols) -> (rows).
-  Tensor MatVec(const Tensor& x) const;
-
-  std::string ToString() const;
 
  private:
   int64_t rows_;
@@ -64,35 +63,6 @@ class CsrMatrix {
   std::vector<int64_t> col_idx_;  // nnz entries
   std::vector<float> values_;     // nnz entries
 };
-
-/// Dense C (M,N) = sparse A (M,K) * dense B (K,N).
-Tensor SpMM(const CsrMatrix& a, const Tensor& b);
-
-/// C += A * B (shapes as SpMM).
-void SpMMAccumulate(const CsrMatrix& a, const Tensor& b, Tensor& c);
-
-/// \brief Workspace-aware SpMM: C (M,N) = sparse A (M,K) * dense B
-/// (K,N) into a caller-provided (typically arena-backed) tensor — zero
-/// owning allocations. ThreadPool-parallel over the rows of A with
-/// static contiguous partitioning; each chunk writes a disjoint block
-/// of C rows and accumulates in fixed ascending-k order, so the result
-/// is memcmp-identical at any thread count and bit-identical to the
-/// `GemmHint::kSparse` dense reference kernel on A's dense image
-/// (skipped zero products are exact float no-ops).
-void SpMMInto(const CsrMatrix& a, const Tensor& b, Tensor* c,
-              bool accumulate = false);
-
-/// C += A * B into a caller-provided tensor (shapes as SpMMInto).
-void SpMMAccumulateInto(const CsrMatrix& a, const Tensor& b, Tensor* c);
-
-/// \brief Dense-times-sparse: C (M,N) (+)= dense A (M,K) * sparse B
-/// (K,N). Parallel over the rows of A (disjoint C rows); per row the
-/// scatter runs in ascending-k order, skipping a[i,k] == 0 — the exact
-/// operation sequence of the `GemmHint::kSparse` reference kernel, so
-/// the result is bit-identical to that dense path and thread-count
-/// independent.
-void DenseSpMMInto(const Tensor& a, const CsrMatrix& b, Tensor* c,
-                   bool accumulate = false);
 
 /// \brief Sparse row dots: C (R,M) = dense A (R,K) * Bᵀ for CSR B
 /// (M,K), each output element a double-precision dot of a CSR row of B
@@ -115,27 +85,6 @@ void SparseMixInto(const CsrMatrix& op, const Tensor& x, Tensor* y);
 /// `gi` must be zero-initialized (or hold a prior gradient to
 /// accumulate into). Parallel over leading rows (disjoint gi rows).
 void SparseMixBackwardInto(const CsrMatrix& op, const Tensor& g, Tensor* gi);
-
-/// \brief Vertex aggregation with a fixed *sparse* (V, V) operator —
-/// the sparse counterpart of `VertexMix` for structural operators:
-/// Y[n,c,t,v] = sum_u A[v,u] X[n,c,t,u]. Exact same semantics, different
-/// kernel; the bench_kernels binary compares the two.
-class SparseVertexMix : public Layer {
- public:
-  explicit SparseVertexMix(CsrMatrix op);
-  /// Convenience: compress a dense operator.
-  explicit SparseVertexMix(const Tensor& dense_op, float tolerance = 0.0f);
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::string name() const override;
-
-  const CsrMatrix& op() const { return op_; }
-
- private:
-  CsrMatrix op_;
-  CsrMatrix op_transposed_;  // for the backward pass
-};
 
 }  // namespace dhgcn
 

@@ -25,7 +25,6 @@ EvalMetrics Evaluate(Layer& model, DataLoader& loader,
   SoftmaxCrossEntropy loss;
   MetricsAccumulator accumulator;
   Workspace workspace;
-  Workspace* ws = options.use_workspace ? &workspace : nullptr;
   // One compiled runner per batch size (the tail batch is usually
   // smaller); capture failure disables the plan path for this call.
   std::unordered_map<int64_t, std::unique_ptr<PlanRunner>> runners;
@@ -67,7 +66,7 @@ EvalMetrics Evaluate(Layer& model, DataLoader& loader,
   size_t plan_arena_bytes = 0;
   for (int64_t b = 0; b < loader.NumBatches(); ++b) {
     Batch batch = loader.GetBatch(b);
-    if (ws != nullptr) ws->Reset();
+    workspace.Reset();
     PlanRunner* runner = nullptr;
     if (plan_ok) {
       auto it = runners.find(batch.x.dim(0));
@@ -88,22 +87,12 @@ EvalMetrics Evaluate(Layer& model, DataLoader& loader,
       }
       if (it != runners.end()) runner = it->second.get();
     }
-    float batch_loss = 0.0f;
-    if (runner != nullptr) {
-      const Tensor& logits = runner->Run(batch.x);
-      batch_loss =
-          ws != nullptr
-              ? loss.TryForward(logits, batch.labels, *ws).ValueOrDie()
-              : loss.Forward(logits, batch.labels);
-      accumulator.Add(logits, batch.labels, batch_loss);
-    } else {
-      Tensor logits = LayerForward(model, batch.x, ws);
-      batch_loss =
-          ws != nullptr
-              ? loss.TryForward(logits, batch.labels, *ws).ValueOrDie()
-              : loss.Forward(logits, batch.labels);
-      accumulator.Add(logits, batch.labels, batch_loss);
-    }
+    Tensor logits = runner != nullptr
+                        ? runner->Run(batch.x)
+                        : LayerForward(model, batch.x, &workspace);
+    float batch_loss =
+        loss.TryForward(logits, batch.labels, workspace).ValueOrDie();
+    accumulator.Add(logits, batch.labels, batch_loss);
   }
   if (options.log_peak_bytes) {
     DHGCN_LOG(kInfo) << "eval ws_peak=" << (workspace.PeakBytes() >> 10)
@@ -115,13 +104,6 @@ EvalMetrics Evaluate(Layer& model, DataLoader& loader,
   }
   model.SetTraining(true);
   return accumulator.Finalize();
-}
-
-EvalMetrics Evaluate(Layer& model, DataLoader& loader,
-                     bool use_workspace) {
-  EvalOptions options;
-  options.use_workspace = use_workspace;
-  return Evaluate(model, loader, options);
 }
 
 EvalMetrics EvaluateFused(Layer& joint_model, Layer& bone_model,

@@ -14,9 +14,6 @@ namespace dhgcn {
 
 /// Evaluation knobs (see `Evaluate` below).
 struct EvalOptions {
-  /// Stage activations in a per-call Workspace arena (reset per batch,
-  /// bit-identical outputs); false = legacy allocating path.
-  bool use_workspace = true;
   /// Run inference through a compiled execution plan (kUnfused is
   /// bit-identical to the layer path, kFused folds BatchNorm and fuses
   /// elementwise tails). Runners are cached per batch size; if the
@@ -42,12 +39,10 @@ struct EvalOptions {
 
 /// Evaluates a classifier over a loader (inference mode; loader should be
 /// non-shuffling). Reports Top-1/Top-5 accuracy and mean cross-entropy.
+/// Activations and the loss are staged in a per-call Workspace arena,
+/// reset per batch.
 EvalMetrics Evaluate(Layer& model, DataLoader& loader,
-                     const EvalOptions& options);
-
-/// Back-compat overload: default options with `use_workspace` overridden.
-EvalMetrics Evaluate(Layer& model, DataLoader& loader,
-                     bool use_workspace = true);
+                     const EvalOptions& options = {});
 
 /// \brief Two-stream fused evaluation (Sec. 3.5): sums the joint model's
 /// and bone model's logits per sample. The two loaders must iterate the

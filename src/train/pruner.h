@@ -32,8 +32,7 @@ struct PruneOptions {
 /// epochs after a pruning event fine-tune the surviving weights. The
 /// mask is re-applied after *every* optimizer step so momentum and
 /// weight decay cannot resurrect pruned weights — which also keeps the
-/// weights genuinely sparse, so density-routed operators
-/// (`SparseRouter`) see the pruned density, not a cloud of tiny values.
+/// weights genuinely sparse: true zeros, not a cloud of tiny values.
 ///
 /// Determinism: selection orders by (|w|, flat index) — a strict total
 /// order — and prunes exactly floor(s * numel) entries, so the mask is

@@ -125,22 +125,15 @@ Result<EpochStats> Trainer::TrainEpoch(DataLoader& loader, int64_t epoch) {
   double loss_sum = 0.0;
   int64_t clean_batches = 0;
   int64_t batches = loader.NumBatches();
-  const bool planned = options_.use_workspace;
   for (int64_t b = 0; b < batches; ++b) {
     Batch batch = loader.GetBatch(b);
     OptimizerZeroGrad();
+    // Step boundary: recycle every activation of the previous step.
+    workspace_.Reset();
     Tensor logits;
-    if (planned) {
-      // Step boundary: recycle every activation of the previous step.
-      workspace_.Reset();
-      model_->ForwardInto(batch.x, workspace_, &logits);
-    } else {
-      logits = model_->Forward(batch.x);
-    }
+    model_->ForwardInto(batch.x, workspace_, &logits);
     DHGCN_ASSIGN_OR_RETURN(
-        float loss, planned ? loss_.TryForward(logits, batch.labels,
-                                               workspace_)
-                            : loss_.TryForward(logits, batch.labels));
+        float loss, loss_.TryForward(logits, batch.labels, workspace_));
     if (guardrails_ != nullptr) {
       if (std::optional<std::string> anomaly =
               guardrails_->CheckForward(logits, loss)) {
@@ -153,13 +146,8 @@ Result<EpochStats> Trainer::TrainEpoch(DataLoader& loader, int64_t epoch) {
         continue;
       }
     }
-    if (planned) {
-      Tensor grad_input;
-      model_->BackwardInto(loss_.Backward(workspace_), workspace_,
-                           &grad_input);
-    } else {
-      model_->Backward(loss_.Backward());
-    }
+    Tensor grad_input;
+    model_->BackwardInto(loss_.Backward(workspace_), workspace_, &grad_input);
     MaybeInjectGradientFault(*model_);
     if (guardrails_ != nullptr) {
       if (std::optional<std::string> anomaly = guardrails_->CheckBackward()) {
@@ -177,8 +165,7 @@ Result<EpochStats> Trainer::TrainEpoch(DataLoader& loader, int64_t epoch) {
     }
     OptimizerStep();
     // Masks re-applied every step: momentum/weight-decay updates must
-    // not resurrect pruned weights (and the density routing should see
-    // true zeros, not near-zeros).
+    // not resurrect pruned weights.
     if (pruner_ != nullptr) pruner_->Apply();
     accumulator.Add(logits, batch.labels, loss);
     loss_sum += loss;

@@ -46,12 +46,6 @@ struct TrainOptions {
   /// Magnitude pruning schedule with fine-tuning (see pruner.h);
   /// masks are re-applied after every optimizer step.
   PruneOptions prune;
-  /// Run training steps through the workspace-planned (arena-backed)
-  /// execution path: activations live in a per-trainer arena that is
-  /// reset at each step boundary, making steady-state steps
-  /// (near-)allocation-free. Outputs are bit-identical to the legacy
-  /// allocating path; disable only for debugging.
-  bool use_workspace = true;
 };
 
 /// \brief Per-epoch training statistics.
@@ -109,7 +103,10 @@ struct ResumedTraining {
 
 /// \brief Minibatch training loop for any `Layer` classifier.
 ///
-/// All entry points return `Result`/`Status`: data corruption (bad
+/// Every step runs through the workspace path (`ForwardInto` /
+/// `BackwardInto`): activations live in a per-trainer arena that is
+/// reset at each step boundary, so steady-state steps are
+/// (near-)allocation-free. All entry points return `Result`/`Status`: data corruption (bad
 /// labels, poisoned batches) and I/O failures surface as descriptive
 /// errors, never crashes. With `TrainOptions::guardrails.enabled`,
 /// non-finite losses/logits/gradients and loss spikes are intercepted
@@ -172,7 +169,8 @@ class Trainer {
   std::unique_ptr<Guardrails> guardrails_;
   std::unique_ptr<Pruner> pruner_;
   StepLrSchedule schedule_;
-  /// Arena for workspace-planned steps; Reset at every step boundary.
+  /// Activation arena of the training steps; Reset at every step
+  /// boundary.
   Workspace workspace_;
 };
 

@@ -16,20 +16,32 @@
 #include "base/alloc_stats.h"
 #include "base/rng.h"
 #include "core/dhgcn_model.h"
+#include "core/static_hypergraph.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
+#include "data/skeleton.h"
 #include "data/synthetic_generator.h"
+#include "hypergraph/hypergraph_conv.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "tensor/sparse.h"
-#include "tensor/sparse_router.h"
 #include "tensor/workspace.h"
+#include "tests/oracles.h"
 #include "train/trainer.h"
 
 namespace dhgcn {
 namespace {
 
 constexpr uint64_t kStepBudget = 10;
+
+// Random normal tensor with ~`density` fraction of nonzeros.
+Tensor RandomAtDensity(const Shape& shape, double density, Rng& rng) {
+  Tensor t = Tensor::RandomNormal(shape, rng);
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (rng.Uniform() >= static_cast<float>(density)) t.flat(i) = 0.0f;
+  }
+  return t;
+}
 
 TEST(AllocBudgetTest, SteadyStateTrainingStepWithinBudget) {
   DhgcnConfig config =
@@ -90,67 +102,63 @@ TEST(AllocBudgetTest, SteadyStateInferenceStepWithinBudget) {
   }
 }
 
-TEST(AllocBudgetTest, TrainerWorkspacePathAllocatesFarLessThanLegacy) {
+TrainOptions TwoEpochOptions() {
+  TrainOptions options;
+  options.epochs = 2;
+  options.initial_lr = 0.01f;
+  return options;
+}
+
+TEST(AllocBudgetTest, TrainerAllocatesFarLessThanLayerwiseLoop) {
   SyntheticDataConfig data_config = NtuLikeConfig(3, 6, 8, 42);
   SkeletonDataset dataset = SkeletonDataset::Generate(data_config).MoveValue();
   DatasetSplit split = dataset.RandomSplit(0.3f, 1);
+  DhgcnConfig config =
+      DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, /*num_classes=*/3);
 
-  auto run_epochs = [&](bool use_workspace) -> std::vector<EpochStats> {
-    DataLoader loader(&dataset, split.train, 6, InputStream::kJoint,
-                      /*shuffle=*/false, Rng(3));
-    DhgcnConfig config =
-        DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, /*num_classes=*/3);
-    DhgcnModel model(config);
-    TrainOptions options;
-    options.epochs = 2;
-    options.initial_lr = 0.01f;
-    options.use_workspace = use_workspace;
-    Trainer trainer(&model, options);
-    return trainer.Train(loader).ValueOrDie();
-  };
+  DataLoader trainer_loader(&dataset, split.train, 6, InputStream::kJoint,
+                            /*shuffle=*/false, Rng(3));
+  DhgcnModel trainer_model(config);
+  Trainer trainer(&trainer_model, TwoEpochOptions());
+  std::vector<EpochStats> planned =
+      trainer.Train(trainer_loader).ValueOrDie();
 
-  std::vector<EpochStats> planned = run_epochs(true);
-  std::vector<EpochStats> legacy = run_epochs(false);
+  DataLoader layerwise_loader(&dataset, split.train, 6, InputStream::kJoint,
+                              /*shuffle=*/false, Rng(3));
+  DhgcnModel layerwise_model(config);
+  oracles::LayerwiseTraining layerwise = oracles::TrainLayerwise(
+      layerwise_model, layerwise_loader, TwoEpochOptions());
   ASSERT_EQ(planned.size(), 2u);
-  ASSERT_EQ(legacy.size(), 2u);
+  ASSERT_EQ(layerwise.allocations.size(), 2u);
 
   // EpochStats surfaces the per-epoch allocation totals.
-  EXPECT_GT(legacy[1].tensor_allocations, 0u);
+  EXPECT_GT(layerwise.allocations[1], 0u);
   EXPECT_GT(planned[1].tensor_alloc_bytes, 0u);  // batch assembly remains
 
-  // Epoch 2 on the workspace path is steady state: only batch assembly
+  // Epoch 2 through the Trainer is steady state: only batch assembly
   // (the loader materializes each batch tensor) still allocates, so the
-  // legacy path must allocate at least 10x more.
-  EXPECT_LT(planned[1].tensor_allocations * 10, legacy[1].tensor_allocations);
+  // allocating layer-by-layer loop must allocate at least 10x more.
+  EXPECT_LT(planned[1].tensor_allocations * 10, layerwise.allocations[1]);
 }
 
-// The legacy SpMM/SpMMAccumulate entry points allocate an owning result
-// per call; the *Into family is the fix — once the CSR capacity is warm,
-// repeated sparse steps must not touch the heap at all.
-TEST(AllocBudgetTest, SpMMIntoFamilyIsAllocationFreeWhenWarm) {
+// Once the CSR capacity is warm, repeated sparse steps must not touch
+// the heap at all.
+TEST(AllocBudgetTest, CsrKernelsAreAllocationFreeWhenWarm) {
   Rng rng(9);
-  Tensor dense_op = Tensor::RandomNormal({25, 25}, rng);
-  for (int64_t i = 0; i < dense_op.numel(); ++i) {
-    if (rng.Uniform() >= 0.2f) dense_op.flat(i) = 0.0f;
-  }
-  Tensor b = Tensor::RandomNormal({25, 16}, rng);   // right operand
-  Tensor a = Tensor::RandomNormal({16, 25}, rng);   // left operand
+  Tensor dense_op = RandomAtDensity({25, 25}, 0.2, rng);
+  Tensor a = Tensor::RandomNormal({16, 25}, rng);
   Tensor x = Tensor::RandomNormal({2, 3, 4, 25}, rng);
 
   CsrMatrix csr(1, 1);
   csr.AssignFromDense(dense_op);  // warm the index/value capacity
-  Tensor c({25, 16});
-  Tensor c2({16, 25});
+  Tensor c({16, 25});
   Tensor y(x.shape());
   Tensor gi(x.shape());
 
   AllocStatsGuard guard;
   for (int step = 0; step < 4; ++step) {
     csr.AssignFromDense(dense_op);  // steady-state re-compression
-    SpMMInto(csr, b, &c);
-    SpMMAccumulateInto(csr, b, &c);
-    DenseSpMMInto(a, csr, &c2);
-    SpMMTransposedBInto(a, csr, &c2);
+    SpMMTransposedBInto(a, csr, &c);
     SparseMixInto(csr, x, &y);
     gi.Fill(0.0f);
     SparseMixBackwardInto(csr, x, &gi);
@@ -160,67 +168,67 @@ TEST(AllocBudgetTest, SpMMIntoFamilyIsAllocationFreeWhenWarm) {
       << " owning tensors in steady state";
 }
 
-// The steady-state budget must hold with the router forced on: every
-// routable operator runs its CSR path, and the per-step re-compressions
-// reuse warm capacity instead of allocating.
-TEST(AllocBudgetTest, SteadyStateTrainingStepWithinBudgetSparseRouted) {
-  SparseMode saved = SparseRouter::Get().mode();
-  SparseRouter::Get().set_mode(SparseMode::kOn);
-
-  DhgcnConfig config =
-      DhgcnConfig::Tiny(SkeletonLayoutType::kKinetics18, /*num_classes=*/4);
-  DhgcnModel model(config);
-  SoftmaxCrossEntropy loss;
-  SgdOptimizer::Options sgd_options;
-  sgd_options.lr = 0.01f;
-  SgdOptimizer optimizer(model.Params(), sgd_options);
-
+// The steady-state budget must hold on the CSR path: every routed
+// operator gets an operand below the crossover, and the per-step
+// re-compressions reuse warm capacity instead of allocating.
+TEST(AllocBudgetTest, SteadyStateCsrRoutedStepWithinBudget) {
   Rng rng(11);
-  Tensor x = Tensor::RandomNormal({2, 3, 8, 18}, rng);
-  std::vector<int64_t> labels = {1, 3};
+  Tensor op = RandomAtDensity({18, 18}, 0.2, rng);
+  Tensor ops = RandomAtDensity({2, 8, 18, 18}, 0.2, rng);
+  Tensor imp = RandomAtDensity({18, 9}, 0.2, rng);
+  ASSERT_TRUE(ShouldRouteSparse(MeasureDensity(op)));
+  ASSERT_TRUE(ShouldRouteSparse(MeasureDensity(ops)));
+  Hypergraph hypergraph = StaticSkeletonHypergraph(
+      GetSkeletonLayout(SkeletonLayoutType::kKinetics18));
+  VertexMix mix(op);
+  DynamicVertexMix dynamic_mix;
+  Tensor x = Tensor::RandomNormal({2, 4, 8, 18}, rng);
+  Tensor g = Tensor::RandomNormal({2, 4, 8, 18}, rng);
 
   Workspace ws;
   for (int step = 0; step < 5; ++step) {
     AllocStatsGuard guard;
     ws.Reset();
-    optimizer.ZeroGrad();
-    Tensor logits;
-    model.ForwardInto(x, ws, &logits);
-    float loss_value = loss.TryForward(logits, labels, ws).ValueOrDie();
-    ASSERT_TRUE(std::isfinite(loss_value));
-    Tensor grad_input;
-    model.BackwardInto(loss.Backward(ws), ws, &grad_input);
-    optimizer.Step();
+    Tensor omega = NormalizedHypergraphOperator(hypergraph, &ws);
+    Tensor weighted = WeightedIncidenceOperator(imp, &ws);
+    dynamic_mix.SetOperators(ops);
+    Tensor mixed, out, grad_mixed, grad_input;
+    mix.ForwardInto(x, ws, &mixed);
+    dynamic_mix.ForwardInto(mixed, ws, &out);
+    dynamic_mix.BackwardInto(g, ws, &grad_mixed);
+    mix.BackwardInto(grad_mixed, ws, &grad_input);
     if (step >= 2) {
       EXPECT_LE(guard.allocations(), kStepBudget)
-          << "sparse-routed step " << step << " allocated "
+          << "CSR-routed step " << step << " allocated "
           << guard.allocations() << " owning tensors ("
           << guard.bytes() << " bytes)";
     }
   }
-  SparseRouter::Get().set_mode(saved);
 }
 
-TEST(AllocBudgetTest, WorkspaceAndLegacyTrainingAreBitIdentical) {
+TEST(AllocBudgetTest, TrainerAndLayerwiseLoopAreBitIdentical) {
   SyntheticDataConfig data_config = NtuLikeConfig(2, 5, 8, 17);
   SkeletonDataset dataset = SkeletonDataset::Generate(data_config).MoveValue();
   DatasetSplit split = dataset.RandomSplit(0.3f, 1);
+  DhgcnConfig config =
+      DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, /*num_classes=*/2);
 
-  auto final_loss = [&](bool use_workspace) -> double {
-    DataLoader loader(&dataset, split.train, 4, InputStream::kJoint,
-                      /*shuffle=*/true, Rng(5));
-    DhgcnConfig config =
-        DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, /*num_classes=*/2);
-    DhgcnModel model(config);
-    TrainOptions options;
-    options.epochs = 2;
-    options.initial_lr = 0.01f;
-    options.use_workspace = use_workspace;
-    Trainer trainer(&model, options);
-    return trainer.Train(loader).ValueOrDie().back().mean_loss;
-  };
+  DataLoader trainer_loader(&dataset, split.train, 4, InputStream::kJoint,
+                            /*shuffle=*/true, Rng(5));
+  DhgcnModel trainer_model(config);
+  Trainer trainer(&trainer_model, TwoEpochOptions());
+  double trainer_loss =
+      trainer.Train(trainer_loader).ValueOrDie().back().mean_loss;
 
-  EXPECT_EQ(final_loss(true), final_loss(false));
+  DataLoader layerwise_loader(&dataset, split.train, 4, InputStream::kJoint,
+                              /*shuffle=*/true, Rng(5));
+  DhgcnModel layerwise_model(config);
+  double layerwise_loss =
+      oracles::TrainLayerwise(layerwise_model, layerwise_loader,
+                              TwoEpochOptions())
+          .mean_loss.back();
+
+  EXPECT_EQ(trainer_loss, layerwise_loss);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "base/flags.h"
 
+#include <cstdlib>
+
 #include "gtest/gtest.h"
+
+#include "base/runtime_flags.h"
 
 namespace dhgcn {
 namespace {
@@ -109,6 +113,59 @@ TEST(FlagsTest, UsageListsFlagsAndDefaults) {
   EXPECT_NE(usage.find("--epochs"), std::string::npos);
   EXPECT_NE(usage.find("training epochs"), std::string::npos);
   EXPECT_NE(usage.find("default: 10"), std::string::npos);
+}
+
+// --- RuntimeFlags: the knobs both CLI tools share -----------------------------
+
+// Parses `args` into a FlagSet with only RuntimeFlags registered, then
+// applies them. None of these cases passes --threads > 0, so the
+// process-wide pool is left alone.
+Status ParseAndApply(RuntimeFlags& rt, std::vector<const char*> args) {
+  FlagSet flags("test");
+  rt.Register(&flags);
+  args.insert(args.begin(), "prog");
+  DHGCN_RETURN_IF_ERROR(
+      flags.Parse(static_cast<int>(args.size()), args.data()));
+  return rt.Apply();
+}
+
+TEST(RuntimeFlagsTest, NegativeThreadsRejected) {
+  RuntimeFlags rt;
+  Status status = ParseAndApply(rt, {"--threads", "-1"});
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.message().find("--threads"), std::string::npos);
+}
+
+TEST(RuntimeFlagsTest, PrecisionFlagResolves) {
+  RuntimeFlags rt;
+  ASSERT_TRUE(ParseAndApply(rt, {"--precision", "int8"}).ok());
+  EXPECT_EQ(rt.resolved_precision, Precision::kInt8);
+
+  RuntimeFlags bogus;
+  EXPECT_TRUE(
+      ParseAndApply(bogus, {"--precision=bogus"}).IsInvalidArgument());
+}
+
+TEST(RuntimeFlagsTest, FlagTextBeatsPrecisionEnvironment) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) — single-threaded test setup.
+  ASSERT_EQ(setenv("DHGCN_PRECISION", "int8", /*overwrite=*/1), 0);
+  RuntimeFlags flag_wins;
+  ASSERT_TRUE(ParseAndApply(flag_wins, {"--precision", "fp32"}).ok());
+  EXPECT_EQ(flag_wins.resolved_precision, Precision::kFp32);
+
+  RuntimeFlags env_only;
+  ASSERT_TRUE(ParseAndApply(env_only, {}).ok());
+  EXPECT_EQ(env_only.resolved_precision, Precision::kInt8);
+}
+
+TEST(RuntimeFlagsTest, SparseRoutingFlagsAreUnknown) {
+  // Sparse routing is a property of the operand density, not a knob.
+  RuntimeFlags rt;
+  for (const char* flag : {"--sparse=off", "--sparse_threshold=0.5"}) {
+    Status status = ParseAndApply(rt, {flag});
+    EXPECT_TRUE(status.IsInvalidArgument()) << flag;
+    EXPECT_NE(status.message().find("unknown"), std::string::npos) << flag;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Equivalence suite for the cache-blocked GEMM micro-kernel
 // (tensor/gemm_kernel.h) and the lowerings that ride it. The blocked
 // kernel uses a different — still shape-pure — accumulation order than
-// the retained reference row kernel, so these tests bound the float
-// drift with relative tolerances instead of bit comparison; the
+// the reference row kernel of tests/oracles.h, so these tests bound the
+// float drift with relative tolerances instead of bit comparison; the
 // bit-level guarantees (across thread counts) live in
 // parallel_determinism_test.cc.
 
@@ -18,6 +18,7 @@
 #include "tensor/gemm_kernel.h"
 #include "tensor/linalg.h"
 #include "tensor/workspace.h"
+#include "tests/oracles.h"
 
 namespace dhgcn {
 namespace {
@@ -38,14 +39,7 @@ void ExpectAllClose(const Tensor& expected, const Tensor& actual,
   }
 }
 
-// Reference product via the retained zero-skipping row kernel, the
-// implementation the blocked kernel is specified against.
-Tensor ReferenceMatMul(const Tensor& a, const Tensor& b) {
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c = Tensor::Zeros({m, n});
-  detail::GemmReferenceAccumulate(a.data(), b.data(), c.data(), m, k, n);
-  return c;
-}
+using oracles::ReferenceMatMul;
 
 // Shapes chosen to straddle every tiling boundary: micro-tile exact
 // multiples, one-off remainders, sub-tile sizes, primes, k crossing the
@@ -83,26 +77,12 @@ TEST(GemmKernel, AccumulateMatchesReferenceKernel) {
     Tensor init = Tensor::RandomNormal({s.m, s.n}, rng);
 
     Tensor want = init.Clone();
-    detail::GemmReferenceAccumulate(a.data(), b.data(), want.data(), s.m,
-                                    s.k, s.n);
+    oracles::GemmReferenceAccumulate(a.data(), b.data(), want.data(), s.m,
+                                     s.k, s.n);
     Tensor got = init.Clone();
     MatMulInto(a, b, &got, /*accumulate=*/true);
     ExpectAllClose(want, got, "accumulating MatMulInto vs reference");
   }
-}
-
-TEST(GemmKernel, SparseHintMatchesDense) {
-  Rng rng(500);
-  // Incidence-like operand: mostly zeros, as the hint is documented for.
-  Tensor a = Tensor::Zeros({40, 60});
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    if (rng.Bernoulli(0.1f)) a.flat(i) = rng.Normal();
-  }
-  Tensor b = Tensor::RandomNormal({60, 48}, rng);
-  Tensor dense(Shape{40, 48}), sparse(Shape{40, 48});
-  MatMulInto(a, b, &dense, /*accumulate=*/false, GemmHint::kDense);
-  MatMulInto(a, b, &sparse, /*accumulate=*/false, GemmHint::kSparse);
-  ExpectAllClose(sparse, dense, "kDense vs kSparse hint");
 }
 
 TEST(GemmKernel, PackBRoundTrip) {
@@ -178,14 +158,6 @@ TEST(GemmKernel, BatchedSharedBMatchesReference) {
 
 // --- Conv2d im2col lowering vs the direct loop nest ----------------------
 
-// Toggles the process-wide lowering flag and restores it on scope exit so
-// a failing ASSERT cannot leak the direct path into later tests.
-class Im2colGuard {
- public:
-  explicit Im2colGuard(bool use) { Conv2d::SetUseIm2col(use); }
-  ~Im2colGuard() { Conv2d::SetUseIm2col(true); }
-};
-
 struct ConvCase {
   const char* name;
   Conv2dOptions options;
@@ -229,33 +201,21 @@ TEST(Conv2dIm2col, ForwardBackwardMatchDirect) {
     Conv2d conv(cc.in_channels, cc.out_channels, cc.options, rng);
     Tensor x = Tensor::RandomNormal(cc.x_shape, rng);
 
-    Tensor direct_out, direct_gi, direct_wg, direct_bg;
-    {
-      Im2colGuard guard(false);
-      direct_out = conv.Forward(x);
-      Tensor g = Tensor::Ones(direct_out.shape());
-      conv.ZeroGrad();
-      direct_gi = conv.Backward(g);
-      direct_wg = conv.Params()[0].grad->Clone();
-      if (cc.options.has_bias) direct_bg = conv.Params()[1].grad->Clone();
-    }
-
-    Im2colGuard guard(true);
     Tensor out = conv.Forward(x);
-    ExpectAllClose(direct_out, out, cc.name);
+    ExpectAllClose(oracles::Conv2dForward(conv, x), out, cc.name);
     Tensor g = Tensor::Ones(out.shape());
     conv.ZeroGrad();
     Tensor gi = conv.Backward(g);
-    ExpectAllClose(direct_gi, gi, cc.name);
-    ExpectAllClose(direct_wg, *conv.Params()[0].grad, cc.name);
+    oracles::Conv2dGrads direct = oracles::Conv2dBackward(conv, x, g);
+    ExpectAllClose(direct.input, gi, cc.name);
+    ExpectAllClose(direct.weight, *conv.Params()[0].grad, cc.name);
     if (cc.options.has_bias) {
-      ExpectAllClose(direct_bg, *conv.Params()[1].grad, cc.name);
+      ExpectAllClose(direct.bias, *conv.Params()[1].grad, cc.name);
     }
   }
 }
 
 TEST(Conv2dIm2col, GradcheckThroughIm2colLowering) {
-  ASSERT_TRUE(Conv2d::use_im2col());
   Conv2dOptions options;
   options.kernel_h = 3;
   options.kernel_w = 3;

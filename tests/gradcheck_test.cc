@@ -126,28 +126,13 @@ TEST(GradCheck, GlobalAvgPool) {
   ExpectGradientsMatch(layer, x);
 }
 
-TEST(GradCheck, TemporalAvgPool) {
-  Rng rng(110);
-  TemporalAvgPool layer(2, 2);
-  Tensor x = Tensor::RandomNormal({2, 2, 8, 3}, rng);
-  ExpectGradientsMatch(layer, x);
-}
-
 TEST(GradCheck, VertexMixFixed) {
   Rng rng(111);
   const SkeletonLayout& layout =
       GetSkeletonLayout(SkeletonLayoutType::kKinetics18);
   Tensor op = NormalizedHypergraphOperator(StaticSkeletonHypergraph(layout));
-  VertexMix layer(op, /*learnable=*/false);
+  VertexMix layer(op);
   Tensor x = Tensor::RandomNormal({2, 3, 4, 18}, rng);
-  ExpectGradientsMatch(layer, x);
-}
-
-TEST(GradCheck, VertexMixLearnable) {
-  Rng rng(112);
-  VertexMix layer(Tensor::RandomNormal({6, 6}, rng, 0.0f, 0.3f),
-                  /*learnable=*/true);
-  Tensor x = Tensor::RandomNormal({2, 2, 3, 6}, rng);
   ExpectGradientsMatch(layer, x);
 }
 
@@ -194,18 +179,6 @@ TEST(GradCheck, AdaptiveSpatialFullAttention) {
   options.rtol = 8e-2f;
   options.atol = 1e-3f;
   ExpectGradientsMatch(layer, x, options);
-}
-
-TEST(GradCheck, LearnableHyperedgeMix) {
-  Rng rng(117);
-  const SkeletonLayout& layout =
-      GetSkeletonLayout(SkeletonLayoutType::kKinetics18);
-  LearnableHyperedgeMix layer(StaticSkeletonHypergraph(layout));
-  // Non-unit weights so the weight gradients are exercised non-trivially.
-  Tensor& w = *layer.Params()[0].value;
-  for (int64_t e = 0; e < w.numel(); ++e) w.flat(e) = rng.Uniform(0.5f, 1.5f);
-  Tensor x = Tensor::RandomNormal({2, 3, 3, 18}, rng);
-  ExpectGradientsMatch(layer, x);
 }
 
 TEST(GradCheck, PartSumSpatial) {

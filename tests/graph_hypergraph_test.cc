@@ -225,11 +225,9 @@ TEST(VertexMixTest, AppliesOperatorOnVertexAxis) {
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 1), 3.0f);
 }
 
-TEST(VertexMixTest, NonLearnableHasNoParams) {
-  VertexMix fixed(Tensor::Eye(3), /*learnable=*/false);
+TEST(VertexMixTest, FixedOperatorHasNoParams) {
+  VertexMix fixed(Tensor::Eye(3));
   EXPECT_TRUE(fixed.Params().empty());
-  VertexMix learnable(Tensor::Eye(3), /*learnable=*/true);
-  EXPECT_EQ(learnable.Params().size(), 1u);
 }
 
 TEST(DynamicVertexMixTest, PerFrameOperators) {
@@ -257,42 +255,6 @@ TEST(DynamicVertexMixDeathTest, ForwardWithoutOperators) {
   DynamicVertexMix mix;
   Tensor x({1, 1, 2, 2});
   EXPECT_DEATH(mix.Forward(x), "DHGCN_CHECK");
-}
-
-// --- LearnableHyperedgeMix (Eq. 5 with trainable W) ----------------------------
-
-TEST(LearnableHyperedgeMixTest, UnitWeightsMatchFixedOperator) {
-  Hypergraph h = SmallHypergraph();
-  LearnableHyperedgeMix learnable(h);
-  VertexMix fixed(NormalizedHypergraphOperator(h));
-  Rng rng(42);
-  Tensor x = Tensor::RandomNormal({2, 3, 4, 5}, rng);
-  EXPECT_TRUE(AllClose(learnable.Forward(x), fixed.Forward(x), 1e-4f,
-                       1e-5f));
-}
-
-TEST(LearnableHyperedgeMixTest, WeightsScaleEdgeContributions) {
-  // One hyperedge over all vertices: doubling its weight doubles the
-  // output (the factorization is linear in w).
-  Hypergraph h(3, {{0, 1, 2}});
-  LearnableHyperedgeMix mix(h);
-  Rng rng(43);
-  Tensor x = Tensor::RandomNormal({1, 1, 1, 3}, rng);
-  Tensor base = mix.Forward(x);
-  mix.Params()[0].value->Fill(2.0f);
-  Tensor doubled = mix.Forward(x);
-  EXPECT_TRUE(AllClose(doubled, MulScalar(base, 2.0f), 1e-5f, 1e-6f));
-}
-
-TEST(LearnableHyperedgeMixTest, HasOneWeightPerEdge) {
-  Hypergraph h = SmallHypergraph();
-  LearnableHyperedgeMix mix(h);
-  std::vector<ParamRef> params = mix.Params();
-  ASSERT_EQ(params.size(), 1u);
-  EXPECT_EQ(params[0].value->shape(), (Shape{3}));
-  for (int64_t e = 0; e < 3; ++e) {
-    EXPECT_FLOAT_EQ(mix.edge_weights().flat(e), 1.0f);
-  }
 }
 
 }  // namespace

@@ -375,15 +375,6 @@ TEST(GlobalAvgPoolTest, BackwardSpreadsEvenly) {
   for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g.flat(i), 2.0f);
 }
 
-TEST(TemporalAvgPoolTest, ForwardValues) {
-  TemporalAvgPool pool(2, 2);
-  Tensor x = Tensor::Arange(8).Reshape({1, 1, 8, 1});
-  Tensor y = pool.Forward(x);
-  EXPECT_EQ(y.shape(), (Shape{1, 1, 4, 1}));
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 0.5f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 3, 0), 6.5f);
-}
-
 // --- Sequential ------------------------------------------------------------------
 
 TEST(SequentialTest, ChainsLayers) {

@@ -2,8 +2,9 @@
 // counts — the acceptance test for the static-partitioning determinism
 // contract. Each kernel runs with a serial pool (threads=1) and again
 // with 2 and 7 threads; outputs must match byte for byte, not just to
-// tolerance. A full training run (legacy and workspace-arena paths)
-// closes the loop: identical final parameters and losses end to end.
+// tolerance. A full training run (the Trainer's workspace path and the
+// layer-by-layer reference loop) closes the loop: identical final
+// parameters and losses end to end.
 
 #include <algorithm>
 #include <cmath>
@@ -31,8 +32,8 @@
 #include "tensor/gemm_kernel_int8.h"
 #include "tensor/linalg.h"
 #include "tensor/sparse.h"
-#include "tensor/sparse_router.h"
 #include "tensor/workspace.h"
+#include "tests/oracles.h"
 #include "train/trainer.h"
 
 namespace dhgcn {
@@ -319,7 +320,8 @@ TEST(ParallelDeterminism, KMeansClusters) {
 }
 
 // --- End-to-end: a short training run must be bit-reproducible for any
-// thread count, on both the legacy and the workspace-arena path. -------
+// thread count, through the Trainer and through the layer-by-layer
+// reference loop. -----------------------------------------------------
 
 struct TrainingFingerprint {
   double final_loss = 0.0;
@@ -328,7 +330,7 @@ struct TrainingFingerprint {
 
 TrainingFingerprint RunTraining(const SkeletonDataset& dataset,
                                 const DatasetSplit& split,
-                                bool use_workspace) {
+                                bool use_trainer) {
   DataLoader loader(&dataset, split.train, 4, InputStream::kJoint,
                     /*shuffle=*/true, Rng(5));
   DhgcnConfig config =
@@ -337,10 +339,14 @@ TrainingFingerprint RunTraining(const SkeletonDataset& dataset,
   TrainOptions options;
   options.epochs = 3;
   options.initial_lr = 0.01f;
-  options.use_workspace = use_workspace;
-  Trainer trainer(&model, options);
   TrainingFingerprint fp;
-  fp.final_loss = trainer.Train(loader).ValueOrDie().back().mean_loss;
+  if (use_trainer) {
+    Trainer trainer(&model, options);
+    fp.final_loss = trainer.Train(loader).ValueOrDie().back().mean_loss;
+  } else {
+    fp.final_loss =
+        oracles::TrainLayerwise(model, loader, options).mean_loss.back();
+  }
   for (ParamRef& p : model.Params()) fp.params.push_back(p.value->Clone());
   return fp;
 }
@@ -351,15 +357,14 @@ TEST(ParallelDeterminism, ThreeEpochTrainingRun) {
       SkeletonDataset::Generate(data_config).MoveValue();
   DatasetSplit split = dataset.RandomSplit(0.3f, 1);
 
-  for (bool use_workspace : {true, false}) {
+  for (bool use_trainer : {true, false}) {
     ThreadPool::Get().SetThreads(1);
-    TrainingFingerprint serial = RunTraining(dataset, split, use_workspace);
+    TrainingFingerprint serial = RunTraining(dataset, split, use_trainer);
     for (int64_t threads : kThreadCounts) {
       ThreadPool::Get().SetThreads(threads);
-      TrainingFingerprint parallel =
-          RunTraining(dataset, split, use_workspace);
+      TrainingFingerprint parallel = RunTraining(dataset, split, use_trainer);
       EXPECT_EQ(parallel.final_loss, serial.final_loss)
-          << "threads=" << threads << " workspace=" << use_workspace;
+          << "threads=" << threads << " trainer=" << use_trainer;
       ASSERT_EQ(parallel.params.size(), serial.params.size());
       for (size_t p = 0; p < serial.params.size(); ++p) {
         ExpectBitEqual(serial.params[p], parallel.params[p],
@@ -405,7 +410,8 @@ TEST(ParallelDeterminism, PlanReplayUnfusedMatchesLayerPath) {
 
 // --- Sparse execution path: the CSR kernels partition CSR/output rows
 // statically and accumulate in fixed ascending-k order, so the routed
-// path must be as thread-invariant as the dense one. -------------------
+// path must be as thread-invariant as the dense one. The operands sit
+// below the CSR crossover, so the layers route them to CSR. ------------
 
 // Random normal tensor with ~`density` fraction of nonzeros.
 Tensor RandomAtDensity(const Shape& shape, double density, Rng& rng) {
@@ -416,50 +422,38 @@ Tensor RandomAtDensity(const Shape& shape, double density, Rng& rng) {
   return t;
 }
 
-// Save/restore the process-wide router around a forced-mode run.
-class ScopedSparseMode {
- public:
-  explicit ScopedSparseMode(SparseMode mode)
-      : saved_(SparseRouter::Get().mode()) {
-    SparseRouter::Get().set_mode(mode);
-  }
-  ~ScopedSparseMode() { SparseRouter::Get().set_mode(saved_); }
-
- private:
-  SparseMode saved_;
-};
-
-TEST(ParallelDeterminism, SpMMIntoKernels) {
+TEST(ParallelDeterminism, CsrKernels) {
   Rng rng(240);
   Tensor a = RandomAtDensity({61, 67}, 0.1, rng);
-  Tensor b = Tensor::RandomNormal({67, 37}, rng);
-  CsrMatrix a_csr = CsrMatrix::FromDense(a);
-  ExpectDeterministicAcrossThreadCounts("SpMMInto", [&] {
-    Tensor c({61, 37});
-    SpMMInto(a_csr, b, &c);
-    SpMMAccumulateInto(a_csr, b, &c);
-    return c;
-  });
-
-  Tensor d = Tensor::RandomNormal({53, 61}, rng);
-  ExpectDeterministicAcrossThreadCounts("DenseSpMMInto", [&] {
-    Tensor c({53, 67});
-    DenseSpMMInto(d, a_csr, &c);
-    return c;
-  });
-
+  CsrMatrix a_csr(1, 1);
+  a_csr.AssignFromDense(a);
   Tensor e = Tensor::RandomNormal({29, 67}, rng);
   ExpectDeterministicAcrossThreadCounts("SpMMTransposedBInto", [&] {
     Tensor c({29, 61});
     SpMMTransposedBInto(e, a_csr, &c);
     return c;
   });
+
+  Tensor op = RandomAtDensity({17, 17}, 0.2, rng);
+  CsrMatrix op_csr(1, 1);
+  op_csr.AssignFromDense(op);
+  Tensor x = Tensor::RandomNormal({3, 5, 7, 17}, rng);
+  ExpectDeterministicAcrossThreadCounts("SparseMixInto", [&] {
+    Tensor y(x.shape());
+    SparseMixInto(op_csr, x, &y);
+    return y;
+  });
+  ExpectDeterministicAcrossThreadCounts("SparseMixBackwardInto", [&] {
+    Tensor gi = Tensor::Zeros(x.shape());
+    SparseMixBackwardInto(op_csr, x, &gi);
+    return gi;
+  });
 }
 
 TEST(ParallelDeterminism, SparseRoutedVertexMix) {
-  ScopedSparseMode on(SparseMode::kOn);
   Rng rng(241);
   Tensor op = RandomAtDensity({25, 25}, 0.15, rng);
+  ASSERT_TRUE(ShouldRouteSparse(MeasureDensity(op)));
   Tensor x = Tensor::RandomNormal({2, 4, 6, 25}, rng);
   Tensor gy = Tensor::RandomNormal({2, 4, 6, 25}, rng);
   VertexMix mix(op.Clone());
@@ -476,9 +470,9 @@ TEST(ParallelDeterminism, SparseRoutedVertexMix) {
 }
 
 TEST(ParallelDeterminism, SparseRoutedDynamicVertexMix) {
-  ScopedSparseMode on(SparseMode::kOn);
   Rng rng(242);
   Tensor ops = RandomAtDensity({2, 5, 17, 17}, 0.12, rng);
+  ASSERT_TRUE(ShouldRouteSparse(MeasureDensity(ops)));
   Tensor x = Tensor::RandomNormal({2, 3, 5, 17}, rng);
   Tensor gy = Tensor::RandomNormal({2, 3, 5, 17}, rng);
   DynamicVertexMix mix;
@@ -498,10 +492,8 @@ TEST(ParallelDeterminism, SparseRoutedDynamicVertexMix) {
 // Pruned fine-tuned training: the magnitude selection is a strict total
 // order over (|w|, flat index) and the routed kernels are
 // thread-invariant, so a pruning run must fingerprint identically at
-// every thread count — with the router forced on, exercising the sparse
-// kernels on the genuinely sparsified weights.
+// every thread count.
 TEST(ParallelDeterminism, ThreeEpochPrunedTrainingRun) {
-  ScopedSparseMode on(SparseMode::kOn);
   SyntheticDataConfig data_config = NtuLikeConfig(2, 5, 8, 19);
   SkeletonDataset dataset =
       SkeletonDataset::Generate(data_config).MoveValue();

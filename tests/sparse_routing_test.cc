@@ -1,13 +1,13 @@
-// Sparse conformance layer for the density-adaptive execution path.
+// Sparse conformance layer for the density-routed operators.
 //
-// The contract under test: every operator the SparseRouter can route
-// through the CSR kernels produces *bit-identical* results to its dense
-// counterpart — skipped zero products are exact float/double no-ops and
-// the accumulation order is preserved — so flipping the router mode
-// (off / on) must never change a single output bit, at any density,
-// including fully dense operands forced through the sparse path. The
-// blocked GEMM uses a different accumulation order and is compared with
-// tolerances instead.
+// The routing decision is a pure function of an operand's measured
+// density against one constant crossover; the CSR kernels it selects
+// must produce *bit-identical* results to the dense loops they stand in
+// for — skipped zero products are exact float/double no-ops and the
+// accumulation order is preserved. Every routed operator is therefore
+// compared, memcmp-exact, against the dense reference of tests/oracles.h
+// at densities on both sides of the crossover, so both branches are
+// proven against one reference.
 
 #include <cmath>
 #include <cstring>
@@ -18,8 +18,10 @@
 
 #include "base/rng.h"
 #include "core/dhgcn_model.h"
+#include "core/static_hypergraph.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
+#include "data/skeleton.h"
 #include "data/synthetic_generator.h"
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/hypergraph_conv.h"
@@ -28,9 +30,9 @@
 #include "plan/plan_runner.h"
 #include "tensor/linalg.h"
 #include "tensor/sparse.h"
-#include "tensor/sparse_router.h"
 #include "tensor/tensor_ops.h"
 #include "tests/gradcheck.h"
+#include "tests/oracles.h"
 #include "train/evaluator.h"
 #include "train/experiment.h"
 #include "train/pruner.h"
@@ -39,36 +41,13 @@
 namespace dhgcn {
 namespace {
 
-// The router is a process-wide singleton shared by every test in the
-// binary: always save/restore both knobs.
-class ScopedSparseMode {
- public:
-  explicit ScopedSparseMode(SparseMode mode,
-                            double threshold = -1.0)
-      : saved_mode_(SparseRouter::Get().mode()),
-        saved_threshold_(SparseRouter::Get().density_threshold()) {
-    SparseRouter::Get().set_mode(mode);
-    if (threshold > 0.0) {
-      SparseRouter::Get().set_density_threshold(threshold);
-    }
-  }
-  ~ScopedSparseMode() {
-    SparseRouter::Get().set_mode(saved_mode_);
-    SparseRouter::Get().set_density_threshold(saved_threshold_);
-  }
-
- private:
-  SparseMode saved_mode_;
-  double saved_threshold_;
-};
-
 void ExpectBitEqual(const Tensor& expected, const Tensor& actual,
                     const char* what) {
   ASSERT_EQ(expected.shape(), actual.shape()) << what;
   EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
                         sizeof(float) * expected.numel()),
             0)
-      << what << ": sparse path is not bit-identical to the dense path";
+      << what << ": not bit-identical to the dense reference";
 }
 
 // Random normal tensor with an expected fraction `density` of nonzeros.
@@ -80,10 +59,68 @@ Tensor RandomAtDensity(const Shape& shape, double density, Rng& rng) {
   return t;
 }
 
-// --- Kernel conformance: SpMM family vs the dense reference kernels ---
+// (V, V) operator with exactly `nonzeros` nonzero entries, the first
+// `nonzeros` in row-major order.
+Tensor OperatorWithNonzeros(int64_t v, int64_t nonzeros, Rng& rng) {
+  Tensor op = Tensor::Zeros({v, v});
+  for (int64_t i = 0; i < nonzeros; ++i) op.flat(i) = rng.Normal();
+  return op;
+}
+
+// Kind of the single op a captured VertexMix records.
+PlanOpKind CapturedMixKind(VertexMix& mix, int64_t v) {
+  mix.SetTraining(false);
+  ExecutionPlan plan = CaptureInferencePlan(mix, {1, 2, 3, v}).ValueOrDie();
+  EXPECT_EQ(plan.ops.size(), 1u);
+  return plan.ops.front().kind;
+}
+
+// --- Routing policy ---------------------------------------------------
+
+TEST(SparseRoute, CrossoverIsInclusive) {
+  static_assert(kSparseDensityCrossover == 0.35);
+  EXPECT_TRUE(ShouldRouteSparse(0.0));
+  EXPECT_TRUE(ShouldRouteSparse(kSparseDensityCrossover));
+  EXPECT_FALSE(
+      ShouldRouteSparse(std::nextafter(kSparseDensityCrossover, 1.0)));
+  EXPECT_FALSE(ShouldRouteSparse(1.0));
+}
+
+TEST(SparseRoute, VertexMixTakesCsrAtCrossoverAndDenseOneStepAbove) {
+  // 140 of 400 entries is exactly the crossover, 141 one step above.
+  Rng rng(210);
+  Tensor at = OperatorWithNonzeros(20, 140, rng);
+  Tensor above = OperatorWithNonzeros(20, 141, rng);
+  ASSERT_EQ(MeasureDensity(at), kSparseDensityCrossover);
+  ASSERT_GT(MeasureDensity(above), kSparseDensityCrossover);
+
+  VertexMix csr_mix(at.Clone());
+  VertexMix dense_mix(above.Clone());
+  EXPECT_EQ(CapturedMixKind(csr_mix, 20), PlanOpKind::kSpMM);
+  EXPECT_EQ(CapturedMixKind(dense_mix, 20), PlanOpKind::kVertexMix);
+
+  // Both sides of the boundary still match the dense reference.
+  Tensor x = Tensor::RandomNormal({2, 3, 4, 20}, rng);
+  ExpectBitEqual(oracles::VertexMixForward(at, x), csr_mix.Forward(x),
+                 "VertexMix at the crossover");
+  ExpectBitEqual(oracles::VertexMixForward(above, x), dense_mix.Forward(x),
+                 "VertexMix above the crossover");
+}
+
+TEST(SparseRoute, MeasureDensityCountsNonzeros) {
+  Tensor t({2, 3});
+  t.Fill(0.0f);
+  EXPECT_EQ(MeasureDensity(t), 0.0);
+  t.flat(0) = 1.0f;
+  t.flat(5) = -2.0f;
+  EXPECT_NEAR(MeasureDensity(t), 2.0 / 6.0, 1e-12);
+  EXPECT_EQ(MeasureDensity(nullptr, 0), 0.0);
+}
+
+// --- Kernel conformance: CSR row dots vs the dense transposed-B GEMM --
 //
-// Shapes deliberately include primes (61, 67, 37, 17) and sizes that
-// straddle the blocked-GEMM tiles, plus the degenerate 1x1x1.
+// Shapes deliberately include primes (61, 67, 37, 17) and the
+// degenerate 1x1x1.
 
 using Dims = std::tuple<int64_t, int64_t, int64_t>;
 using KernelParam = std::tuple<Dims, double>;
@@ -91,61 +128,14 @@ using KernelParam = std::tuple<Dims, double>;
 class SpmmConformanceTest : public ::testing::TestWithParam<KernelParam> {
 };
 
-TEST_P(SpmmConformanceTest, SpMMIntoBitwiseMatchesSparseReference) {
-  auto [dims, density] = GetParam();
-  auto [m, k, n] = dims;
-  Rng rng(101);
-  Tensor a = RandomAtDensity({m, k}, density, rng);
-  Tensor b = Tensor::RandomNormal({k, n}, rng);
-  CsrMatrix a_csr = CsrMatrix::FromDense(a);
-
-  Tensor ref({m, n});
-  MatMulInto(a, b, &ref, /*accumulate=*/false, GemmHint::kSparse);
-  Tensor c({m, n});
-  SpMMInto(a_csr, b, &c);
-  ExpectBitEqual(ref, c, "SpMMInto");
-
-  // Accumulating variant, on identical pre-filled outputs.
-  Tensor base = Tensor::RandomNormal({m, n}, rng);
-  Tensor ref_acc = base.Clone();
-  Tensor c_acc = base.Clone();
-  MatMulInto(a, b, &ref_acc, /*accumulate=*/true, GemmHint::kSparse);
-  SpMMAccumulateInto(a_csr, b, &c_acc);
-  ExpectBitEqual(ref_acc, c_acc, "SpMMAccumulateInto");
-
-  // The blocked GEMM accumulates in a different order: rtol-equivalent.
-  EXPECT_TRUE(AllClose(MatMul(a, b), c, 1e-4f, 1e-5f));
-}
-
-TEST_P(SpmmConformanceTest, DenseSpMMIntoBitwiseMatchesSparseReference) {
-  auto [dims, density] = GetParam();
-  auto [m, k, n] = dims;
-  Rng rng(102);
-  Tensor a = RandomAtDensity({m, k}, density, rng);
-  Tensor b = RandomAtDensity({k, n}, density, rng);
-  CsrMatrix b_csr = CsrMatrix::FromDense(b);
-
-  Tensor ref({m, n});
-  MatMulInto(a, b, &ref, /*accumulate=*/false, GemmHint::kSparse);
-  Tensor c({m, n});
-  DenseSpMMInto(a, b_csr, &c);
-  ExpectBitEqual(ref, c, "DenseSpMMInto");
-
-  Tensor base = Tensor::RandomNormal({m, n}, rng);
-  Tensor ref_acc = base.Clone();
-  Tensor c_acc = base.Clone();
-  MatMulInto(a, b, &ref_acc, /*accumulate=*/true, GemmHint::kSparse);
-  DenseSpMMInto(a, b_csr, &c_acc, /*accumulate=*/true);
-  ExpectBitEqual(ref_acc, c_acc, "DenseSpMMInto accumulate");
-}
-
 TEST_P(SpmmConformanceTest, SpMMTransposedBBitwiseMatchesDense) {
   auto [dims, density] = GetParam();
   auto [m, k, n] = dims;
   Rng rng(103);
   Tensor a = Tensor::RandomNormal({m, k}, rng);
   Tensor b = RandomAtDensity({n, k}, density, rng);
-  CsrMatrix b_csr = CsrMatrix::FromDense(b);
+  CsrMatrix b_csr(1, 1);
+  b_csr.AssignFromDense(b);
 
   Tensor ref({m, n});
   MatMulTransposedBInto(a, b, &ref);
@@ -163,73 +153,52 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- CSR in-place rebuild (the steady-state compression path) ---------
 
-TEST(CsrAssignFromDense, MatchesFromDenseAfterCapacityReuse) {
+TEST(CsrAssignFromDense, RoundTripsAfterCapacityReuse) {
   Rng rng(104);
   CsrMatrix csr(1, 1);
-  // Dense -> sparse -> dense again: each rebuild must be equivalent to a
-  // fresh FromDense regardless of what capacity the previous build left.
+  // Dense -> sparse -> dense again: each rebuild must reproduce its
+  // input exactly regardless of what capacity the previous build left.
   for (double density : {0.5, 0.01, 1.0, 0.1}) {
     Tensor dense = RandomAtDensity({19, 23}, density, rng);
     csr.AssignFromDense(dense);
-    CsrMatrix fresh = CsrMatrix::FromDense(dense);
-    ASSERT_EQ(csr.nnz(), fresh.nnz()) << "density " << density;
-    EXPECT_EQ(csr.row_ptr(), fresh.row_ptr());
-    EXPECT_EQ(csr.col_idx(), fresh.col_idx());
-    EXPECT_EQ(csr.values(), fresh.values());
-    ExpectBitEqual(dense, csr.ToDense(), "AssignFromDense round-trip");
+    EXPECT_EQ(csr.rows(), 19);
+    EXPECT_EQ(csr.cols(), 23);
+    EXPECT_EQ(static_cast<double>(csr.nnz()) / (19.0 * 23.0),
+              MeasureDensity(dense))
+        << "density " << density;
+    ExpectBitEqual(dense, oracles::CsrToDense(csr),
+                   "AssignFromDense round-trip");
   }
 }
 
-// --- Operator routing equivalence: off vs on must be bit-identical ----
+// --- Routed operators vs the dense reference, 5% to 100% density -----
 
-class SparseRoutingDensityTest : public ::testing::TestWithParam<double> {
-};
+class RoutedOperatorTest : public ::testing::TestWithParam<double> {};
 
-TEST_P(SparseRoutingDensityTest, VertexMixFixedForwardBackwardBitIdentical) {
-  double density = GetParam();
+TEST_P(RoutedOperatorTest, VertexMixMatchesDenseReference) {
+  const double density = GetParam();
   Rng rng(201);
   Tensor op = RandomAtDensity({17, 17}, density, rng);
   Tensor x = Tensor::RandomNormal({2, 3, 5, 17}, rng);
   Tensor gy = Tensor::RandomNormal({2, 3, 5, 17}, rng);
 
   VertexMix mix(op.Clone());
-  Tensor y_dense, g_dense;
-  {
-    ScopedSparseMode off(SparseMode::kOff);
-    y_dense = mix.Forward(x);
-    g_dense = mix.Backward(gy);
-  }
-  {
-    ScopedSparseMode on(SparseMode::kOn);
-    ExpectBitEqual(y_dense, mix.Forward(x), "VertexMix forward");
-    ExpectBitEqual(g_dense, mix.Backward(gy), "VertexMix backward");
-  }
+  ExpectBitEqual(oracles::VertexMixForward(op, x), mix.Forward(x),
+                 "VertexMix forward");
+  ExpectBitEqual(oracles::VertexMixBackward(op, gy), mix.Backward(gy),
+                 "VertexMix backward");
+  // Plan replay runs whichever kernel the capture baked in.
+  Tensor replayed(x.shape());
+  mix.MixPlan(x, &replayed);
+  ExpectBitEqual(oracles::VertexMixForward(op, x), replayed,
+                 "VertexMix plan replay");
+  EXPECT_EQ(CapturedMixKind(mix, 17),
+            ShouldRouteSparse(MeasureDensity(op)) ? PlanOpKind::kSpMM
+                                                  : PlanOpKind::kVertexMix);
 }
 
-TEST_P(SparseRoutingDensityTest, VertexMixLearnableForwardBitIdentical) {
-  double density = GetParam();
-  Rng rng(202);
-  Tensor op = RandomAtDensity({13, 13}, density, rng);
-  Tensor x = Tensor::RandomNormal({2, 2, 3, 13}, rng);
-  Tensor gy = Tensor::RandomNormal({2, 2, 3, 13}, rng);
-
-  VertexMix mix(op.Clone(), /*learnable=*/true);
-  Tensor y_dense, g_dense;
-  {
-    ScopedSparseMode off(SparseMode::kOff);
-    y_dense = mix.Forward(x);
-    g_dense = mix.Backward(gy);
-  }
-  {
-    ScopedSparseMode on(SparseMode::kOn);
-    ExpectBitEqual(y_dense, mix.Forward(x), "learnable VertexMix forward");
-    ExpectBitEqual(g_dense, mix.Backward(gy),
-                   "learnable VertexMix backward");
-  }
-}
-
-TEST_P(SparseRoutingDensityTest, DynamicVertexMixForwardBackwardBitIdentical) {
-  double density = GetParam();
+TEST_P(RoutedOperatorTest, DynamicVertexMixMatchesDenseReference) {
+  const double density = GetParam();
   Rng rng(203);
   Tensor ops = RandomAtDensity({2, 4, 17, 17}, density, rng);
   Tensor x = Tensor::RandomNormal({2, 3, 4, 17}, rng);
@@ -237,100 +206,61 @@ TEST_P(SparseRoutingDensityTest, DynamicVertexMixForwardBackwardBitIdentical) {
 
   DynamicVertexMix mix;
   mix.SetOperators(ops.Clone());
-  Tensor y_dense, g_dense;
-  {
-    ScopedSparseMode off(SparseMode::kOff);
-    y_dense = mix.Forward(x);
-    g_dense = mix.Backward(gy);
-  }
-  {
-    ScopedSparseMode on(SparseMode::kOn);
-    ExpectBitEqual(y_dense, mix.Forward(x), "DynamicVertexMix forward");
-    ExpectBitEqual(g_dense, mix.Backward(gy), "DynamicVertexMix backward");
-  }
+  ExpectBitEqual(oracles::DynamicVertexMixForward(ops, x), mix.Forward(x),
+                 "DynamicVertexMix forward");
+  ExpectBitEqual(oracles::DynamicVertexMixBackward(ops, gy),
+                 mix.Backward(gy), "DynamicVertexMix backward");
 }
 
-TEST_P(SparseRoutingDensityTest,
-       LearnableHyperedgeMixForwardBackwardBitIdentical) {
-  double density = GetParam();
-  // The incidence factors have their own (topology-determined) density;
-  // the parameter seeds distinct topologies so each case covers a
-  // different sparsity pattern.
-  uint64_t seed = 300 + static_cast<uint64_t>(density * 100.0);
-  Rng rng(seed);
-  int64_t v = 14;
-  std::vector<Hyperedge> edges;
-  for (int64_t e = 0; e < 5; ++e) {
-    edges.push_back(rng.SampleWithoutReplacement(v, rng.UniformInt(2, 5)));
-  }
-  Hypergraph h(v, std::move(edges));
-  Tensor x = Tensor::RandomNormal({2, 2, 3, v}, rng);
-  Tensor gy = Tensor::RandomNormal({2, 2, 3, v}, rng);
-
-  Tensor y_dense, g_dense;
-  {
-    ScopedSparseMode off(SparseMode::kOff);
-    LearnableHyperedgeMix mix(h);
-    y_dense = mix.Forward(x);
-    g_dense = mix.Backward(gy);
-  }
-  {
-    ScopedSparseMode on(SparseMode::kOn);
-    LearnableHyperedgeMix mix(h);
-    ExpectBitEqual(y_dense, mix.Forward(x),
-                   "LearnableHyperedgeMix forward");
-    ExpectBitEqual(g_dense, mix.Backward(gy),
-                   "LearnableHyperedgeMix backward");
-  }
+TEST_P(RoutedOperatorTest, WeightedIncidenceOperatorMatchesDenseReference) {
+  const double density = GetParam();
+  Rng rng(204);
+  Tensor imp = RandomAtDensity({25, 9}, density, rng);
+  ExpectBitEqual(oracles::WeightedIncidenceOperator(imp),
+                 WeightedIncidenceOperator(imp), "WeightedIncidenceOperator");
 }
 
-INSTANTIATE_TEST_SUITE_P(Densities, SparseRoutingDensityTest,
-                         ::testing::Values(0.01, 0.1, 0.5, 1.0));
+INSTANTIATE_TEST_SUITE_P(Densities, RoutedOperatorTest,
+                         ::testing::Values(0.05, 0.1, 0.2, 0.35, 0.5, 0.75,
+                                           1.0));
+
+TEST(RoutedOperator, NormalizedHypergraphOperatorMatchesDenseReference) {
+  // Random topologies (isolated vertices included) and the paper's
+  // static skeleton hypergraph.
+  for (uint64_t seed : {300u, 301u, 302u, 303u}) {
+    Rng rng(seed);
+    const int64_t v = 14;
+    std::vector<Hyperedge> edges;
+    for (int64_t e = 0; e < 5; ++e) {
+      edges.push_back(rng.SampleWithoutReplacement(v, rng.UniformInt(2, 5)));
+    }
+    Hypergraph h(v, std::move(edges));
+    ExpectBitEqual(oracles::NormalizedHypergraphOperator(h),
+                   NormalizedHypergraphOperator(h), "random hypergraph");
+  }
+  Hypergraph skeleton = StaticSkeletonHypergraph(
+      GetSkeletonLayout(SkeletonLayoutType::kNtu25));
+  ExpectBitEqual(oracles::NormalizedHypergraphOperator(skeleton),
+                 NormalizedHypergraphOperator(skeleton),
+                 "static skeleton hypergraph");
+}
 
 // Prime / tile-straddling vertex count on the layer path.
-TEST(SparseRouting, VertexMixPrimeShapeBitIdentical) {
+TEST(RoutedOperator, VertexMixPrimeShapeMatchesDenseReference) {
   Rng rng(205);
   Tensor op = RandomAtDensity({61, 61}, 0.1, rng);
   Tensor x = Tensor::RandomNormal({1, 2, 3, 61}, rng);
   VertexMix mix(op.Clone());
-  Tensor y_dense;
-  {
-    ScopedSparseMode off(SparseMode::kOff);
-    y_dense = mix.Forward(x);
-  }
-  ScopedSparseMode on(SparseMode::kOn);
-  ExpectBitEqual(y_dense, mix.Forward(x), "VertexMix prime-V forward");
+  ExpectBitEqual(oracles::VertexMixForward(op, x), mix.Forward(x),
+                 "VertexMix prime-V forward");
 }
 
-// --- Whole model: routing must not change a single logit bit ----------
+// --- Whole model: CSR capture and replay -------------------------------
 
-TEST(SparseRouting, FullModelForwardBitIdenticalAcrossModes) {
-  DhgcnConfig config =
-      DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, /*num_classes=*/3);
-  DhgcnModel model(config);
-  model.SetTraining(false);
-  Rng rng(206);
-  Tensor x = Tensor::RandomNormal({2, 3, 8, 25}, rng);
-
-  Tensor logits_off;
-  {
-    ScopedSparseMode off(SparseMode::kOff);
-    logits_off = model.Forward(x);
-  }
-  {
-    ScopedSparseMode on(SparseMode::kOn);
-    ExpectBitEqual(logits_off, model.Forward(x), "model forward (on)");
-  }
-  {
-    ScopedSparseMode au(SparseMode::kAuto);
-    ExpectBitEqual(logits_off, model.Forward(x), "model forward (auto)");
-  }
-}
-
-// Plan capture bakes the routing decision in as kSpMM ops; replay must
-// still be bit-identical to the layer path.
-TEST(SparseRouting, PlanReplayWithSparseCaptureBitIdentical) {
-  ScopedSparseMode on(SparseMode::kOn);
+// The Tiny NTU model's static operators sit below the crossover, so
+// plan capture bakes them in as kSpMM ops; replay must still be
+// bit-identical to the layer path.
+TEST(RoutedOperator, PlanReplayWithCsrCaptureBitIdentical) {
   DhgcnConfig config =
       DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, /*num_classes=*/3);
   DhgcnModel model(config);
@@ -339,79 +269,26 @@ TEST(SparseRouting, PlanReplayWithSparseCaptureBitIdentical) {
   Tensor x = Tensor::RandomNormal({2, 3, 8, 25}, rng);
 
   Tensor layer_path = model.Forward(x);
-  PlanRunner runner(
-      BuildInferencePlan(model, x.shape(), PlanMode::kUnfused)
-          .ValueOrDie());
-  ExpectBitEqual(layer_path, runner.Run(x), "sparse-captured plan replay");
+  ExecutionPlan plan =
+      BuildInferencePlan(model, x.shape(), PlanMode::kUnfused).ValueOrDie();
+  int64_t csr_ops = 0;
+  for (const PlanOp& op : plan.ops) {
+    if (op.kind == PlanOpKind::kSpMM) ++csr_ops;
+  }
+  EXPECT_GT(csr_ops, 0);
+  PlanRunner runner(std::move(plan));
+  ExpectBitEqual(layer_path, runner.Run(x), "CSR-captured plan replay");
 }
 
-// --- Gradcheck through the forced-sparse path -------------------------
+// --- Gradcheck through the CSR path -----------------------------------
 
-TEST(SparseRouting, GradcheckLearnableVertexMixSparsePath) {
-  ScopedSparseMode on(SparseMode::kOn);
+TEST(RoutedOperator, GradcheckVertexMixCsrPath) {
   Rng rng(208);
   Tensor op = RandomAtDensity({9, 9}, 0.3, rng);
-  VertexMix mix(op.Clone(), /*learnable=*/true);
+  ASSERT_TRUE(ShouldRouteSparse(MeasureDensity(op)));
+  VertexMix mix(op.Clone());
   Tensor x = Tensor::RandomNormal({2, 2, 3, 9}, rng);
   testing::ExpectGradientsMatch(mix, x);
-}
-
-TEST(SparseRouting, GradcheckLearnableHyperedgeMixSparsePath) {
-  ScopedSparseMode on(SparseMode::kOn);
-  Rng rng(209);
-  int64_t v = 10;
-  std::vector<Hyperedge> edges;
-  for (int64_t e = 0; e < 4; ++e) {
-    edges.push_back(rng.SampleWithoutReplacement(v, rng.UniformInt(2, 4)));
-  }
-  Hypergraph h(v, std::move(edges));
-  LearnableHyperedgeMix mix(h);
-  Tensor x = Tensor::RandomNormal({2, 2, 2, v}, rng);
-  testing::ExpectGradientsMatch(mix, x);
-}
-
-// --- Router policy ----------------------------------------------------
-
-TEST(SparseRouterPolicy, ParseSparseMode) {
-  EXPECT_EQ(ParseSparseMode("off").ValueOrDie(), SparseMode::kOff);
-  EXPECT_EQ(ParseSparseMode("auto").ValueOrDie(), SparseMode::kAuto);
-  EXPECT_EQ(ParseSparseMode("on").ValueOrDie(), SparseMode::kOn);
-  EXPECT_FALSE(ParseSparseMode("dense").ok());
-  EXPECT_FALSE(ParseSparseMode("").ok());
-  EXPECT_STREQ(SparseModeName(SparseMode::kAuto), "auto");
-}
-
-TEST(SparseRouterPolicy, ShouldRouteRespectsModeAndThreshold) {
-  {
-    ScopedSparseMode off(SparseMode::kOff);
-    EXPECT_FALSE(SparseRouter::Get().ShouldRoute(0.0));
-    EXPECT_FALSE(SparseRouter::Get().ShouldRoute(1.0));
-  }
-  {
-    ScopedSparseMode on(SparseMode::kOn);
-    EXPECT_TRUE(SparseRouter::Get().ShouldRoute(0.0));
-    EXPECT_TRUE(SparseRouter::Get().ShouldRoute(1.0));
-  }
-  {
-    ScopedSparseMode au(SparseMode::kAuto, /*threshold=*/0.25);
-    EXPECT_TRUE(SparseRouter::Get().ShouldRoute(0.1));
-    EXPECT_TRUE(SparseRouter::Get().ShouldRoute(0.25));
-    EXPECT_FALSE(SparseRouter::Get().ShouldRoute(0.26));
-    EXPECT_FALSE(SparseRouter::Get().ShouldRoute(1.0));
-  }
-  // Scoped guards must have restored the defaults.
-  EXPECT_EQ(SparseRouter::Get().density_threshold(),
-            SparseRouter::Get().density_threshold());
-}
-
-TEST(SparseRouterPolicy, MeasureDensityCountsNonzeros) {
-  Tensor t({2, 3});
-  t.Fill(0.0f);
-  EXPECT_EQ(SparseRouter::MeasureDensity(t), 0.0);
-  t.flat(0) = 1.0f;
-  t.flat(5) = -2.0f;
-  EXPECT_NEAR(SparseRouter::MeasureDensity(t), 2.0 / 6.0, 1e-12);
-  EXPECT_EQ(SparseRouter::MeasureDensity(nullptr, 0), 0.0);
 }
 
 // --- Pruner: schedule, determinism, mask discipline -------------------

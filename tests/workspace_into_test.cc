@@ -224,15 +224,6 @@ TEST(WorkspaceIntoTest, GlobalAvgPoolBitExactAndGradCorrect) {
   ExpectIntoGradientsMatch(planned, x);
 }
 
-TEST(WorkspaceIntoTest, TemporalAvgPoolBitExactAndGradCorrect) {
-  TemporalAvgPool legacy(2, 2);
-  TemporalAvgPool planned(2, 2);
-  Rng data_rng(62);
-  Tensor x = Tensor::RandomNormal({2, 3, 8, 4}, data_rng);
-  ExpectIntoBitExact(legacy, planned, x);
-  ExpectIntoGradientsMatch(planned, x);
-}
-
 // --- Sequential -----------------------------------------------------------------------
 
 std::unique_ptr<Sequential> MakeStack(uint64_t seed) {
@@ -259,8 +250,8 @@ TEST(WorkspaceIntoTest, SequentialBitExactAndGradCorrect) {
 TEST(WorkspaceIntoTest, VertexMixBitExactAndGradCorrect) {
   Rng op_rng(81);
   Tensor op = Tensor::RandomNormal({6, 6}, op_rng);
-  VertexMix legacy(op.Clone(), /*learnable=*/true);
-  VertexMix planned(op.Clone(), /*learnable=*/true);
+  VertexMix legacy(op.Clone());
+  VertexMix planned(op.Clone());
   Rng data_rng(82);
   Tensor x = Tensor::RandomNormal({2, 3, 4, 6}, data_rng);
   ExpectIntoBitExact(legacy, planned, x);
@@ -277,16 +268,6 @@ TEST(WorkspaceIntoTest, DynamicVertexMixBitExact) {
   Rng data_rng(84);
   Tensor x = Tensor::RandomNormal({2, 3, 4, 6}, data_rng);
   ExpectIntoBitExact(legacy, planned, x);
-}
-
-TEST(WorkspaceIntoTest, LearnableHyperedgeMixBitExactAndGradCorrect) {
-  Hypergraph h = TestHypergraph();
-  LearnableHyperedgeMix legacy(h);
-  LearnableHyperedgeMix planned(h);
-  Rng data_rng(85);
-  Tensor x = Tensor::RandomNormal({2, 3, 4, 6}, data_rng);
-  ExpectIntoBitExact(legacy, planned, x);
-  ExpectIntoGradientsMatch(planned, x);
 }
 
 TEST(WorkspaceIntoTest, NormalizedHypergraphOperatorMatchesLegacy) {

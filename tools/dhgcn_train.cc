@@ -75,7 +75,6 @@ Status RunMain(int argc, const char* const* argv) {
   bool report = false;
   bool summary = false;
   bool augment = false;
-  bool workspace = true;
   std::string plan_name = "off";
   RuntimeFlags rt;
   bool prune = false;
@@ -124,9 +123,6 @@ Status RunMain(int argc, const char* const* argv) {
   flags.AddBool("report", &report, "print per-class report");
   flags.AddBool("summary", &summary, "print the parameter summary");
   flags.AddBool("augment", &augment, "enable training augmentation");
-  flags.AddBool("workspace", &workspace,
-                "arena-backed (near-)zero-allocation training steps "
-                "(bit-identical results; disable for debugging)");
   flags.AddString("plan", &plan_name,
                   "evaluation execution plan: off|on|fused (on = compiled "
                   "replay, bit-identical; fused = Conv+BN folding, "
@@ -227,7 +223,6 @@ Status RunMain(int argc, const char* const* argv) {
     train_options.initial_lr = static_cast<float>(lr);
     train_options.lr_milestones = {epochs * 3 / 5, epochs * 4 / 5};
     train_options.verbose = true;
-    train_options.use_workspace = workspace;
     if (prune) {
       if (prune_sparsity < 0.0 || prune_sparsity >= 1.0) {
         return Status::InvalidArgument(StrCat(

@@ -51,9 +51,9 @@ Rules (see DESIGN.md §7 for the rationale):
   sparse-route   In src/hypergraph/hypergraph_conv.*, direct dense GEMM
                  calls (MatMul / MatMulInto / MatMulTransposedB*) on the
                  incidence-shaped operands are banned: the mix operators
-                 must ask SparseRouter and take the CSR SpMM path when
-                 the operand is sparse enough. The router's own dense
-                 fallback branches are the reviewed exception, escaped
+                 must ask ShouldRouteSparse (tensor/sparse.h) and take the
+                 CSR kernels when the operand is sparse enough. A dense
+                 fallback branch is the reviewed exception, escaped
                  line-by-line with `lint: allow-sparse-route`.
   plan-alloc     In src/plan/plan_runner.*, allocation and dynamic
                  dispatch are banned: PlanRunner::Run is the compiled
@@ -150,8 +150,8 @@ RULES = [
         HYPERGRAPH_CONV,
         re.compile(r"\bMatMul(?:TransposedB)?(?:Into)?\s*\("),
         "direct dense GEMM on an incidence operand (route through "
-        "SparseRouter + SpMM*; the dense fallback branch carries a "
-        "`lint: allow-sparse-route` escape)",
+        "ShouldRouteSparse + the CSR kernels; a dense fallback branch "
+        "carries a `lint: allow-sparse-route` escape)",
     ),
     (
         "plan-alloc",

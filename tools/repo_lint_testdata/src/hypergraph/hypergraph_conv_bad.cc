@@ -4,7 +4,7 @@ namespace dhgcn {
 
 void UnroutedVertexMix(const Tensor& op, const Tensor& x, Tensor* y) {
   // Contracting against the (V, V) aggregation operator without asking
-  // SparseRouter defeats density-adaptive execution.
+  // ShouldRouteSparse defeats density-adaptive execution.
   MatMulTransposedBInto(x, op, y);
 }
 
