@@ -232,17 +232,28 @@ void BM_DynamicJointWeightOperators(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicJointWeightOperators)->Arg(16)->Arg(32);
 
+// The zoo DHGCN's three block shapes at batch 8 (args: C, T, threads):
+// frames run in parallel chunks, so the 2-thread rows show the scaling.
 void BM_DynamicTopologyOperators(benchmark::State& state) {
+  ThreadPool::Get().SetThreads(state.range(2));
   Rng rng(13);
-  Tensor features = Tensor::RandomNormal({2, 16, state.range(0), 25}, rng);
+  Tensor features =
+      Tensor::RandomNormal({8, state.range(0), state.range(1), 25}, rng);
   DynamicTopologyOptions options;
   options.kn = 3;
   options.km = 4;
   for (auto _ : state) {
     benchmark::DoNotOptimize(DynamicTopologyOperators(features, options));
   }
+  ThreadPool::Get().SetThreads(1);
 }
-BENCHMARK(BM_DynamicTopologyOperators)->Arg(8)->Arg(16);
+BENCHMARK(BM_DynamicTopologyOperators)
+    ->Args({16, 16, 1})
+    ->Args({16, 16, 2})
+    ->Args({32, 16, 1})
+    ->Args({32, 16, 2})
+    ->Args({64, 8, 1})
+    ->Args({64, 8, 2});
 
 // --- Blocks and full model ------------------------------------------------------
 
@@ -352,17 +363,6 @@ void BM_Conv2dThreads(benchmark::State& state) {
   ThreadPool::Get().SetThreads(1);
 }
 BENCHMARK(BM_Conv2dThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_PairwiseDistancesThreads(benchmark::State& state) {
-  ThreadPool::Get().SetThreads(state.range(0));
-  Rng rng(21);
-  Tensor features = Tensor::RandomNormal({256, 64}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(PairwiseDistances(features));
-  }
-  ThreadPool::Get().SetThreads(1);
-}
-BENCHMARK(BM_PairwiseDistancesThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // --- Data pipeline -----------------------------------------------------------------
 

@@ -16,9 +16,9 @@ namespace dhgcn {
 /// \brief Process-wide fixed-size worker pool for intra-op parallelism.
 ///
 /// The pool exists to make the hot kernels (GEMM family, Conv2d,
-/// BatchNorm, the loss batch loop, pairwise distances) use every core
-/// **without giving up bit-exact determinism**. The contract that makes
-/// that possible:
+/// BatchNorm, the loss batch loop, the dynamic-topology frames) use
+/// every core **without giving up bit-exact determinism**. The contract
+/// that makes that possible:
 ///
 /// *Static contiguous partitioning.* `ParallelFor(begin, end, grain,
 /// fn)` splits `[begin, end)` into `ceil(range / grain)` contiguous

@@ -23,18 +23,22 @@ struct DynamicTopologyOptions {
 
 /// \brief Builds the dynamic-topology hypergraph for one frame's vertex
 /// features (V, F): the union of the K-NN "common information" hyperedges
-/// and the K-means "global information" hyperedges.
+/// (one per vertex, in vertex order) and the K-means "global information"
+/// hyperedges — the topology behind one (V, V) slice of
+/// DynamicTopologyOperators at frame index `frame_seed`.
 Hypergraph DynamicTopologyHypergraph(const Tensor& features,
                                      const DynamicTopologyOptions& options,
-                                     uint64_t frame_seed = 0,
-                                     Workspace* ws = nullptr);
+                                     uint64_t frame_seed = 0);
 
 /// \brief Dynamic-topology operators for a feature map (N, C, T, V):
 /// per sample and frame, vertices are embedded with their C-dim feature
 /// columns, the hypergraph is constructed, and the normalized hypergraph
 /// operator (Eq. 5) of shape (V, V) is emitted -> (N, T, V, V).
 ///
-/// The construction (K-NN selection / K-means assignment) is
+/// Frames run in parallel on the ThreadPool, in chunks of a fixed number
+/// of frames, each frame writing only its own slice, so the result is
+/// bit-identical at every thread count. Only the output is drawn from
+/// `ws`. The construction (K-NN selection / K-means assignment) is
 /// non-differentiable; gradients flow through the returned operators'
 /// *application* to features, not through the topology itself.
 Tensor DynamicTopologyOperators(const Tensor& features,

@@ -7,6 +7,23 @@
 
 namespace dhgcn {
 
+namespace {
+
+// True when `edge` (in-range vertices) lists a vertex twice. `seen` is an
+// all-false mask over the vertices; it is all-false again on return.
+bool RepeatsVertex(const Hyperedge& edge, std::vector<char>* seen) {
+  bool repeats = false;
+  for (int64_t v : edge) {
+    char& mark = (*seen)[static_cast<size_t>(v)];
+    repeats = repeats || mark != 0;
+    mark = 1;
+  }
+  for (int64_t v : edge) (*seen)[static_cast<size_t>(v)] = 0;
+  return repeats;
+}
+
+}  // namespace
+
 Hypergraph::Hypergraph(int64_t num_vertices, std::vector<Hyperedge> edges)
     : Hypergraph(num_vertices, std::move(edges), {}) {}
 
@@ -20,11 +37,13 @@ Hypergraph::Hypergraph(int64_t num_vertices, std::vector<Hyperedge> edges,
     edge_weights_.assign(edges_.size(), 1.0f);
   }
   DHGCN_CHECK_EQ(edges_.size(), edge_weights_.size());
+  std::vector<char> seen(static_cast<size_t>(num_vertices_), 0);
   for (const Hyperedge& e : edges_) {
     DHGCN_CHECK(!e.empty());
     for (int64_t v : e) {
       DHGCN_CHECK(v >= 0 && v < num_vertices_);
     }
+    DHGCN_CHECK(!RepeatsVertex(e, &seen));
   }
   for (float w : edge_weights_) DHGCN_CHECK_GT(w, 0.0f);
 }
@@ -41,6 +60,7 @@ Result<Hypergraph> Hypergraph::Make(int64_t num_vertices,
         StrCat("edge_weights size ", edge_weights.size(),
                " != number of edges ", edges.size()));
   }
+  std::vector<char> seen(static_cast<size_t>(num_vertices), 0);
   for (size_t i = 0; i < edges.size(); ++i) {
     if (edges[i].empty()) {
       return Status::InvalidArgument(StrCat("hyperedge ", i, " is empty"));
@@ -51,6 +71,10 @@ Result<Hypergraph> Hypergraph::Make(int64_t num_vertices,
             StrCat("hyperedge ", i, " references vertex ", v,
                    " outside [0, ", num_vertices, ")"));
       }
+    }
+    if (RepeatsVertex(edges[i], &seen)) {
+      return Status::InvalidArgument(
+          StrCat("hyperedge ", i, " lists a vertex more than once"));
     }
   }
   for (float w : edge_weights) {
@@ -99,16 +123,6 @@ bool Hypergraph::CoversAllVertices() const {
     if (!s) return false;
   }
   return true;
-}
-
-Hypergraph Hypergraph::UnionWith(const Hypergraph& other) const {
-  DHGCN_CHECK_EQ(num_vertices_, other.num_vertices_);
-  std::vector<Hyperedge> edges = edges_;
-  edges.insert(edges.end(), other.edges_.begin(), other.edges_.end());
-  std::vector<float> weights = edge_weights_;
-  weights.insert(weights.end(), other.edge_weights_.begin(),
-                 other.edge_weights_.end());
-  return Hypergraph(num_vertices_, std::move(edges), std::move(weights));
 }
 
 std::string Hypergraph::ToString() const {

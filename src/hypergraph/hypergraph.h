@@ -15,10 +15,12 @@ using Hyperedge = std::vector<int64_t>;
 
 /// \brief Hypergraph G_h = {V_h, E_h, W_h} (Sec. 3.2): hyperedges connect
 /// arbitrary vertex subsets; every hyperedge carries a positive weight
-/// (initialized to 1 as in the paper).
+/// (initialized to 1 as in the paper). A hyperedge is a set: it lists
+/// each of its vertices once.
 class Hypergraph {
  public:
-  /// Builds with unit edge weights. Vertex indices are CHECKed.
+  /// Builds with unit edge weights. Vertex indices (in range, no repeat
+  /// within an edge) are CHECKed.
   Hypergraph(int64_t num_vertices, std::vector<Hyperedge> edges);
   Hypergraph(int64_t num_vertices, std::vector<Hyperedge> edges,
              std::vector<float> edge_weights);
@@ -44,9 +46,6 @@ class Hypergraph {
 
   /// True when every vertex belongs to at least one hyperedge.
   bool CoversAllVertices() const;
-
-  /// Union of this topology with another over the same vertex set.
-  Hypergraph UnionWith(const Hypergraph& other) const;
 
   std::string ToString() const;
 

@@ -1,7 +1,9 @@
 #include "hypergraph/hypergraph_conv.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "base/check.h"
 #include "base/logging.h"
@@ -15,12 +17,12 @@ namespace dhgcn {
 
 namespace {
 
-// Process-wide CSR scratch for the free-function incidence operators
-// (capacity reused across the per-frame dynamic-topology loop). Built
-// and consumed on the compute-driving thread only — the library is
-// externally single-threaded (see ThreadPool), and concurrent serve
-// workers serialize compute behind the server's compute lease — so the
-// Meyers static needs no guard, same as the GEMM packing scratch.
+// Process-wide CSR scratch for WeightedIncidenceOperator (capacity
+// reused across calls). Built and consumed on the compute-driving thread
+// only — the library is externally single-threaded (see ThreadPool), and
+// concurrent serve workers serialize compute behind the server's compute
+// lease — so the Meyers static needs no guard, same as the GEMM packing
+// scratch.
 CsrMatrix& IncidenceCsrScratch() {
   static CsrMatrix scratch(1, 1);
   return scratch;
@@ -34,40 +36,67 @@ void LogRoute(const char* what, double density, bool routed) {
 
 }  // namespace
 
-Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
-                                    Workspace* ws) {
-  int64_t nv = hypergraph.num_vertices();
-  int64_t ne = hypergraph.num_edges();
-  std::vector<float> dv = hypergraph.VertexDegrees();
-  std::vector<int64_t> de = hypergraph.EdgeDegrees();
-  const std::vector<float>& w = hypergraph.edge_weights();
+namespace detail {
 
-  // Left factor L = Dv^{-1/2} H W De^{-1}, shape (V, E); then
-  // Omega = L * (Dv^{-1/2} H)^T. H is sparse (h(v,e)=1 iff v in e), so
-  // the factors are filled straight from the edge lists instead of
-  // materializing the incidence matrix.
-  Tensor left = NewZeroedTensor(ws, {nv, ne});
-  Tensor right = NewZeroedTensor(ws, {nv, ne});
+void NormalizedOperatorFromEdges(int64_t nv, int64_t ne,
+                                 const int64_t* offsets,
+                                 const int64_t* members,
+                                 const float* weights, float* degrees,
+                                 double* acc, float* omega) {
+  // Vertex degrees (Eq. 3) in ascending edge order, then Dv^{-1/2}.
+  std::fill(degrees, degrees + nv, 0.0f);
   for (int64_t e = 0; e < ne; ++e) {
-    float inv_de = 1.0f / static_cast<float>(de[static_cast<size_t>(e)]);
-    for (int64_t v : hypergraph.edges()[static_cast<size_t>(e)]) {
-      float inv_sqrt_dv =
-          dv[static_cast<size_t>(v)] > 0.0f
-              ? 1.0f / std::sqrt(dv[static_cast<size_t>(v)])
-              : 0.0f;
-      left.at(v, e) = inv_sqrt_dv * w[static_cast<size_t>(e)] * inv_de;
-      right.at(v, e) = inv_sqrt_dv;
+    const float w = weights != nullptr ? weights[e] : 1.0f;
+    for (int64_t i = offsets[e]; i < offsets[e + 1]; ++i) {
+      degrees[members[i]] += w;
     }
   }
-  Tensor omega = NewTensor(ws, {nv, nv});  // (V, V)
-  // Omega[v,u] is an ascending-e double dot of left row v with right
-  // row u. `right` holds one entry per (vertex, incident edge), at most
-  // about 0.25 dense for the paper's k_n, k_m, so it always takes the
-  // CSR dots; the skipped zeros are exact no-ops in the double
-  // accumulator, so the result equals the dense product bit for bit.
-  CsrMatrix& csr = IncidenceCsrScratch();
-  csr.AssignFromDense(right);
-  SpMMTransposedBInto(left, csr, &omega);
+  for (int64_t v = 0; v < nv; ++v) {
+    degrees[v] = degrees[v] > 0.0f ? 1.0f / std::sqrt(degrees[v]) : 0.0f;
+  }
+  // Omega[v,u] = sum over the edges e holding both v and u, ascending e,
+  // of L[v,e] * R[u,e] with L = Dv^{-1/2} H W De^{-1} and
+  // R = Dv^{-1/2} H. Each term is the product of two floats — exact in
+  // double — and none is negative, so this sum is the double dot
+  // sum_e L[v,e] R[u,e] of the dense factors with its zero terms (exact
+  // no-ops) dropped: the same bits, without forming H.
+  std::fill(acc, acc + nv * nv, 0.0);
+  for (int64_t e = 0; e < ne; ++e) {
+    const int64_t* edge = members + offsets[e];
+    const int64_t size = offsets[e + 1] - offsets[e];
+    const float w = weights != nullptr ? weights[e] : 1.0f;
+    const float inv_de = 1.0f / static_cast<float>(size);
+    for (int64_t a = 0; a < size; ++a) {
+      const float left = degrees[edge[a]] * w * inv_de;
+      double* row = acc + edge[a] * nv;
+      for (int64_t b = 0; b < size; ++b) {
+        row[edge[b]] += static_cast<double>(left) * degrees[edge[b]];
+      }
+    }
+  }
+  for (int64_t i = 0; i < nv * nv; ++i) omega[i] = static_cast<float>(acc[i]);
+}
+
+}  // namespace detail
+
+Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
+                                    Workspace* ws) {
+  const int64_t nv = hypergraph.num_vertices();
+  const int64_t ne = hypergraph.num_edges();
+  std::vector<int64_t> offsets(static_cast<size_t>(ne) + 1, 0);
+  std::vector<int64_t> members;
+  for (int64_t e = 0; e < ne; ++e) {
+    const Hyperedge& edge = hypergraph.edges()[static_cast<size_t>(e)];
+    members.insert(members.end(), edge.begin(), edge.end());
+    offsets[static_cast<size_t>(e) + 1] = static_cast<int64_t>(members.size());
+  }
+  std::vector<float> degrees(static_cast<size_t>(nv));
+  std::vector<double> acc(static_cast<size_t>(nv * nv));
+  Tensor omega = NewTensor(ws, {nv, nv});
+  detail::NormalizedOperatorFromEdges(
+      nv, ne, offsets.data(), members.data(),
+      hypergraph.edge_weights().data(), degrees.data(), acc.data(),
+      omega.data());
   return omega;
 }
 
@@ -75,7 +104,8 @@ Tensor WeightedIncidenceOperator(const Tensor& imp, Workspace* ws) {
   DHGCN_CHECK_EQ(imp.ndim(), 2);
   Tensor out = NewTensor(ws, {imp.dim(0), imp.dim(0)});
   // Imp = W_all ⊙ H keeps the zeros of the incidence matrix, so the
-  // product takes the same CSR dots as NormalizedHypergraphOperator.
+  // product always takes the CSR dots; the skipped zeros are exact no-ops
+  // in the double accumulator, so it equals the dense product bit for bit.
   CsrMatrix& csr = IncidenceCsrScratch();
   csr.AssignFromDense(imp);
   SpMMTransposedBInto(imp, csr, &out);

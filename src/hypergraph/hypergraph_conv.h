@@ -17,9 +17,26 @@ namespace dhgcn {
 /// al. 2019, the paper's reference [6]) uses Dv^{-1/2}, which is what we
 /// implement — the positive exponent would amplify high-degree vertices
 /// and is a typo. Isolated vertices (degree 0) map to zero rows/columns.
-/// With a workspace, the operator and its factors are arena-backed.
+/// With a workspace, the operator is arena-backed.
 Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
                                     Workspace* ws = nullptr);
+
+namespace detail {
+
+/// Eq. 5 straight from edge lists — the one implementation behind
+/// `NormalizedHypergraphOperator` and the dynamic-topology pass.
+/// Hyperedge e is members[offsets[e], offsets[e+1]) with weight
+/// weights[e] (unit weights when `weights` is null); every edge must be
+/// a vertex set. Writes Omega (nv, nv) row-major to `omega`. Serial and
+/// free of process-wide scratch: `degrees` (nv floats) and `acc`
+/// (nv * nv doubles) are caller-owned.
+void NormalizedOperatorFromEdges(int64_t nv, int64_t ne,
+                                 const int64_t* offsets,
+                                 const int64_t* members,
+                                 const float* weights, float* degrees,
+                                 double* acc, float* omega);
+
+}  // namespace detail
 
 /// \brief Operator from a weighted incidence matrix (Eqs. 8–9):
 /// given Imp = W_all ⊙ H of shape (V, E), returns Imp Imp^T of shape (V, V).

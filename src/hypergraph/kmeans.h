@@ -10,8 +10,6 @@
 
 namespace dhgcn {
 
-class Workspace;
-
 /// \brief Result of a medoid-based K-means run over vertex features.
 struct KMeansResult {
   /// Disjoint clusters covering all vertices; cluster i's vertices.
@@ -37,13 +35,38 @@ struct KMeansResult {
 ///
 /// `features` is (V, F); requires 1 <= k <= V.
 KMeansResult KMeansClusters(const Tensor& features, int64_t k, Rng& rng,
-                            int64_t max_iters = 20,
-                            Workspace* ws = nullptr);
+                            int64_t max_iters = 20);
 
 /// Convenience: the clusters of KMeansClusters as hyperedges.
 std::vector<Hyperedge> KMeansHyperedges(const Tensor& features, int64_t k,
-                                        Rng& rng, int64_t max_iters = 20,
-                                        Workspace* ws = nullptr);
+                                        Rng& rng, int64_t max_iters = 20);
+
+namespace detail {
+
+/// Caller-owned index arrays of one K-means run over V vertices and k
+/// clusters. Cluster c is members[offsets[c], offsets[c + 1]).
+struct KMeansArrays {
+  int64_t* medoids;       // k: sorted initial medoids in, final medoids out
+  int64_t* next_medoids;  // k: scratch
+  int64_t* assignment;    // V: cluster of each vertex
+  int64_t* offsets;       // k + 1
+  int64_t* members;       // V: cluster-major, ascending within a cluster
+};
+
+/// Serial core of `KMeansClusters` on a (v, v) distance matrix: runs the
+/// medoid iteration from `arrays.medoids` and leaves the last iteration's
+/// clusters in `offsets`/`members`. Nearest-medoid ties go to the lower
+/// cluster (DistanceBefore order), and the empty-cluster donor is the
+/// first farthest node in cluster-major, node-ascending order. Both
+/// count NaN as farther than any number, so every vertex lands in
+/// exactly one non-empty cluster even for a non-finite frame. Returns
+/// the number of iterations run; `*converged` tells whether the medoids
+/// settled.
+int64_t KMeansMedoids(const float* dist, int64_t v, int64_t k,
+                      int64_t max_iters, const KMeansArrays& arrays,
+                      bool* converged);
+
+}  // namespace detail
 
 }  // namespace dhgcn
 

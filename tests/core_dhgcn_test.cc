@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -12,6 +14,7 @@
 #include "hypergraph/hypergraph_conv.h"
 #include "tensor/tensor_ops.h"
 #include "tests/gradcheck.h"
+#include "tests/oracles.h"
 
 namespace dhgcn {
 namespace {
@@ -214,8 +217,10 @@ TEST(DynamicTopologyTest, DeterministicForSameInput) {
   options.km = 2;
   Tensor ops1 = DynamicTopologyOperators(features, options);
   Tensor ops2 = DynamicTopologyOperators(features, options);
-  EXPECT_TRUE(AllClose(ops1, ops2));
   EXPECT_EQ(ops1.shape(), (Shape{2, 3, 6, 6}));
+  EXPECT_EQ(std::memcmp(ops1.data(), ops2.data(),
+                        sizeof(float) * static_cast<size_t>(ops1.numel())),
+            0);
 }
 
 TEST(DynamicTopologyTest, OperatorsAreSymmetricFinite) {
@@ -249,6 +254,147 @@ TEST(DynamicTopologyTest, NearbyVerticesShareEdges) {
   float within = ops.at(0, 0, 0, 1);
   float across = ops.at(0, 0, 0, 4);
   EXPECT_GT(within, across);
+}
+
+// Features (N, C, T, V) for the conformance sweep. Variant 0 is plain
+// Gaussian; variant 1 rounds to a coarse grid behind a ReLU (zeros and
+// exact distance ties); variant 2 copies three vertex rows over the whole
+// frame (zero distances: K-means collapses onto at most three clusters,
+// so every k_m > 3 forces empty-cluster steals); variant 3 is all zeros.
+Tensor ConformanceFeatures(int64_t n, int64_t c, int64_t t, int64_t v,
+                           int variant, uint64_t seed) {
+  Rng rng(seed);
+  Tensor x = Tensor::RandomNormal({n, c, t, v}, rng);
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t ch = 0; ch < c; ++ch) {
+      for (int64_t tt = 0; tt < t; ++tt) {
+        for (int64_t j = 0; j < v; ++j) {
+          float& value = x.at(b, ch, tt, j);
+          if (variant == 1) {
+            value = std::max(0.0f, std::round(value * 2.0f) / 2.0f);
+          } else if (variant == 2) {
+            value = x.at(b, ch, tt, j % 3);
+          } else if (variant == 3) {
+            value = 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return x;
+}
+
+// Frame (b, tt) of an (N, C, T, V) map as (V, C) vertex rows.
+Tensor FrameRows(const Tensor& x, int64_t b, int64_t tt) {
+  const int64_t c = x.dim(1), v = x.dim(3);
+  Tensor frame({v, c});
+  for (int64_t j = 0; j < v; ++j) {
+    for (int64_t ch = 0; ch < c; ++ch) frame.at(j, ch) = x.at(b, ch, tt, j);
+  }
+  return frame;
+}
+
+// The one-pass frame construction against the per-frame pipeline it
+// replaced (tests/oracles.h), memcmp-exact, over vertex counts, channel
+// counts on both sides of the Gram GEMM's row/blocked switch, k_n, k_m
+// (including 1 and V) and a K-means iteration cap that stops before
+// convergence.
+TEST(DynamicTopologyTest, MatchesPerFrameOracleBitForBit) {
+  uint64_t seed = 500;
+  for (int64_t v : {7, 18, 25}) {
+    for (int64_t c : {3, 16, 32, 64}) {
+      for (int variant = 0; variant < 4; ++variant) {
+        Tensor features = ConformanceFeatures(2, c, 2, v, variant, ++seed);
+        for (int64_t kn = 1; kn <= 4; ++kn) {
+          for (int64_t km : {int64_t{1}, int64_t{4}, int64_t{5}, v - 1, v}) {
+            for (int64_t iters : {1, 20}) {
+              DynamicTopologyOptions options;
+              options.kn = kn;
+              options.km = km;
+              options.kmeans_max_iters = iters;
+              Tensor expected =
+                  oracles::DynamicTopologyOperators(features, options);
+              Tensor actual = DynamicTopologyOperators(features, options);
+              ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
+                                    sizeof(float) *
+                                        static_cast<size_t>(expected.numel())),
+                        0)
+                  << "V=" << v << " C=" << c << " variant=" << variant
+                  << " kn=" << kn << " km=" << km << " iters=" << iters;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DynamicTopologyTest, HypergraphMatchesPerFrameOracle) {
+  uint64_t seed = 600;
+  for (int64_t c : {3, 32}) {
+    for (int variant = 0; variant < 3; ++variant) {
+      Tensor frame =
+          FrameRows(ConformanceFeatures(1, c, 1, 18, variant, ++seed), 0, 0);
+      for (int64_t km : {1, 4, 5, 17}) {
+        DynamicTopologyOptions options;
+        options.kn = 3;
+        options.km = km;
+        for (uint64_t frame_seed : {0u, 5u}) {
+          Hypergraph expected =
+              oracles::DynamicTopologyHypergraph(frame, options, frame_seed);
+          Hypergraph actual =
+              DynamicTopologyHypergraph(frame, options, frame_seed);
+          EXPECT_EQ(actual.edges(), expected.edges())
+              << "C=" << c << " variant=" << variant << " km=" << km;
+          EXPECT_EQ(actual.edge_weights(), expected.edge_weights());
+        }
+      }
+    }
+  }
+}
+
+// A non-finite frame (a poisoned batch) must still yield a topology: NaN
+// distances order after every number, so the selections stay total, and
+// Eq. 5 depends only on the degrees, so the operator stays finite.
+TEST(DynamicTopologyTest, NonFiniteFeaturesGiveFiniteOperatorsAndPartition) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(76);
+  const int64_t c = 4, t = 4, v = 9;
+  Tensor features = Tensor::RandomNormal({1, c, t, v}, rng);
+  features.at(0, 1, 0, 4) = nan;  // frame 0: one NaN vertex
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t j = 0; j < v; ++j) features.at(0, ch, 1, j) = nan;
+  }
+  features.at(0, 2, 2, 7) = inf;  // frame 2: one inf
+  features.at(0, 0, 3, 0) = -inf;  // frame 3: -inf and inf
+  features.at(0, 3, 3, 5) = inf;
+  DynamicTopologyOptions options;
+  options.kn = 3;
+  options.km = 4;
+  Tensor ops = DynamicTopologyOperators(features, options);
+  EXPECT_FALSE(HasNonFinite(ops));
+  for (int64_t tt = 0; tt < t; ++tt) {
+    Hypergraph h = DynamicTopologyHypergraph(FrameRows(features, 0, tt),
+                                             options,
+                                             static_cast<uint64_t>(tt));
+    ASSERT_EQ(h.num_edges(), v + options.km) << "frame " << tt;
+    for (int64_t e = 0; e < v; ++e) {
+      const Hyperedge& edge = h.edges()[static_cast<size_t>(e)];
+      EXPECT_EQ(static_cast<int64_t>(edge.size()), options.kn);
+      EXPECT_EQ(edge[0], e);
+    }
+    std::vector<int> hits(static_cast<size_t>(v), 0);
+    for (int64_t e = v; e < h.num_edges(); ++e) {
+      const Hyperedge& cluster = h.edges()[static_cast<size_t>(e)];
+      EXPECT_FALSE(cluster.empty()) << "frame " << tt;
+      for (int64_t j : cluster) ++hits[static_cast<size_t>(j)];
+    }
+    for (int64_t j = 0; j < v; ++j) {
+      EXPECT_EQ(hits[static_cast<size_t>(j)], 1)
+          << "frame " << tt << " vertex " << j;
+    }
+  }
 }
 
 // --- DHST block -----------------------------------------------------------------------

@@ -123,14 +123,6 @@ TEST(HypergraphTest, CoverageDetection) {
   EXPECT_FALSE(partial.CoversAllVertices());
 }
 
-TEST(HypergraphTest, UnionCombinesEdges) {
-  Hypergraph a(4, {{0, 1}});
-  Hypergraph b(4, {{2, 3}, {0, 3}});
-  Hypergraph u = a.UnionWith(b);
-  EXPECT_EQ(u.num_edges(), 3);
-  EXPECT_TRUE(u.CoversAllVertices());
-}
-
 TEST(HypergraphTest, DefaultWeightsAreOne) {
   Hypergraph h = SmallHypergraph();
   for (float w : h.edge_weights()) EXPECT_FLOAT_EQ(w, 1.0f);
@@ -142,11 +134,16 @@ TEST(HypergraphTest, MakeValidation) {
   EXPECT_FALSE(Hypergraph::Make(3, {{0, 7}}).ok());      // out of range
   EXPECT_FALSE(Hypergraph::Make(3, {{0}}, {0.0f}).ok()); // bad weight
   EXPECT_FALSE(Hypergraph::Make(3, {{0}}, {1.0f, 2.0f}).ok());  // size
+  EXPECT_FALSE(Hypergraph::Make(3, {{1, 1, 2}}).ok());  // repeated vertex
   EXPECT_TRUE(Hypergraph::Make(3, {{0, 1}, {1, 2}}).ok());
 }
 
 TEST(HypergraphDeathTest, ConstructorChecksVertexRange) {
   EXPECT_DEATH(Hypergraph(2, {{0, 5}}), "DHGCN_CHECK");
+}
+
+TEST(HypergraphDeathTest, ConstructorChecksRepeatedVertex) {
+  EXPECT_DEATH(Hypergraph(3, {{0, 1}, {2, 1, 2}}), "DHGCN_CHECK");
 }
 
 TEST(HypergraphTest, ToStringMentionsStructure) {

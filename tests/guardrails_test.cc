@@ -90,7 +90,7 @@ struct TrainRig {
   DatasetSplit split;
   LayerPtr model;
 
-  static TrainRig Make() {
+  static TrainRig Make(ModelKind kind = ModelKind::kTcn) {
     SyntheticDataConfig config = NtuLikeConfig(3, 10, 12, 99);
     config.sensor_noise = 0.005f;
     TrainRig rig{SkeletonDataset::Generate(config).MoveValue(), {}, {}};
@@ -99,8 +99,7 @@ struct TrainRig {
     zoo.scale.channels = {4};
     zoo.scale.strides = {1};
     zoo.scale.dropout = 0.0f;
-    rig.model =
-        CreateModel(ModelKind::kTcn, SkeletonLayoutType::kNtu25, 3, zoo);
+    rig.model = CreateModel(kind, SkeletonLayoutType::kNtu25, 3, zoo);
     return rig;
   }
 
@@ -210,6 +209,22 @@ TEST_F(GuardrailsTest, PoisonedBatchCaughtAndBuffersRestored) {
   Result<EpochStats> stats = trainer.TrainEpoch(loader, 0);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->guardrails.anomalies, 1);
+  EXPECT_TRUE(rig.ParamsFinite());
+}
+
+// The same poisoned batch through DHGCN: the dynamic topology sees NaN
+// features and must still build a valid hypergraph, so the step reaches
+// the guardrail instead of aborting inside K-means.
+TEST_F(GuardrailsTest, PoisonedBatchThroughDynamicTopologyIsSkipped) {
+  TrainRig rig = TrainRig::Make(ModelKind::kDhgcn);
+  DataLoader loader = rig.Loader();
+  Trainer trainer(rig.model.get(), rig.Options(GuardrailPolicy::kSkipBatch));
+  FaultInjection::Get().Arm(FaultSite::kBatchNaN, 1);
+  Result<EpochStats> stats = trainer.TrainEpoch(loader, 0);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->guardrails.anomalies, 1);
+  EXPECT_EQ(stats->guardrails.skipped_batches, 1);
+  EXPECT_EQ(FaultInjection::Get().fire_count(FaultSite::kBatchNaN), 1);
   EXPECT_TRUE(rig.ParamsFinite());
 }
 

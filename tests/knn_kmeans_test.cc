@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -8,6 +9,7 @@
 #include "hypergraph/kmeans.h"
 #include "hypergraph/knn.h"
 #include "tensor/tensor_ops.h"
+#include "tests/oracles.h"
 
 namespace dhgcn {
 namespace {
@@ -240,6 +242,110 @@ TEST(KMeansHyperedgesTest, MatchesClusters) {
   ASSERT_EQ(edges.size(), result.clusters.size());
   for (size_t c = 0; c < edges.size(); ++c) {
     EXPECT_EQ(edges[c], result.clusters[c]);
+  }
+}
+
+// --- Against the replaced implementations ------------------------------------------
+
+// Points on a coarse grid with every third point duplicated: exact
+// distance ties everywhere, zero distances, and K-means runs that empty
+// clusters and steal for them.
+Tensor TiedPoints(int64_t v, uint64_t seed) {
+  Rng rng(seed);
+  Tensor points({v, 2});
+  for (int64_t i = 0; i < v; ++i) {
+    for (int64_t d = 0; d < 2; ++d) {
+      points.at(i, d) = i % 3 == 2 ? points.at(i - 1, d)
+                                   : static_cast<float>(rng.UniformInt(0, 3));
+    }
+  }
+  return points;
+}
+
+TEST(OracleConformanceTest, KnnMatchesStableSortSelection) {
+  for (int64_t v : {6, 13, 25}) {
+    Tensor points = TiedPoints(v, static_cast<uint64_t>(70 + v));
+    Tensor dist = PairwiseDistances(points);
+    for (int64_t k = 1; k <= v; ++k) {
+      EXPECT_EQ(KnnHyperedges(points, k), oracles::KnnHyperedges(points, k))
+          << "V=" << v << " k=" << k;
+      EXPECT_EQ(NearestNeighbors(dist, v / 2, k - 1),
+                oracles::NearestNeighbors(dist, v / 2, k - 1));
+    }
+  }
+}
+
+TEST(OracleConformanceTest, KMeansMatchesVectorOfClusters) {
+  for (int64_t v : {6, 13, 25}) {
+    Tensor points = TiedPoints(v, static_cast<uint64_t>(80 + v));
+    for (int64_t k = 1; k <= v; ++k) {
+      for (int64_t iters : {1, 2, 20}) {
+        Rng rng(static_cast<uint64_t>(90 + k));
+        Rng oracle_rng(static_cast<uint64_t>(90 + k));
+        KMeansResult actual = KMeansClusters(points, k, rng, iters);
+        KMeansResult expected =
+            oracles::KMeansClusters(points, k, oracle_rng, iters);
+        EXPECT_EQ(actual.clusters, expected.clusters)
+            << "V=" << v << " k=" << k << " iters=" << iters;
+        EXPECT_EQ(actual.medoids, expected.medoids);
+        EXPECT_EQ(actual.iterations, expected.iterations);
+        EXPECT_EQ(actual.converged, expected.converged);
+      }
+    }
+  }
+}
+
+// NaN distances order after every number: a NaN neighbour comes last,
+// and a vertex joins its nearest finite medoid rather than a NaN one.
+TEST(KnnKmeansNaNTest, NaNDistancesOrderAfterNumbers) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor points = Tensor::FromVector({4, 1}, {0.0f, 0.1f, nan, 5.0f});
+  Tensor dist = PairwiseDistances(points);
+  EXPECT_EQ(NearestNeighbors(dist, 0, 3), (std::vector<int64_t>{1, 3, 2}));
+  std::vector<int64_t> medoids = {2, 3}, next(2), assignment(4), offsets(3),
+                       members(4);
+  bool converged = false;
+  detail::KMeansMedoids(dist.data(), 4, 2, /*max_iters=*/1,
+                        {medoids.data(), next.data(), assignment.data(),
+                         offsets.data(), members.data()},
+                        &converged);
+  EXPECT_EQ(assignment, (std::vector<int64_t>{1, 1, 0, 1}));
+
+  // Vertices 0 and 1 coincide, 2 and 3 are NaN: everything joins medoid
+  // 0, and the empty cluster takes the first node at NaN distance, the
+  // farthest in this order.
+  std::vector<float> d = {0, 0, nan, nan,  0, 0, nan, nan,
+                          nan, nan, 0, nan,  nan, nan, nan, 0};
+  medoids = {0, 1};
+  detail::KMeansMedoids(d.data(), 4, 2, /*max_iters=*/1,
+                        {medoids.data(), next.data(), assignment.data(),
+                         offsets.data(), members.data()},
+                        &converged);
+  EXPECT_EQ(assignment, (std::vector<int64_t>{0, 0, 1, 0}));
+}
+
+// NaN distances order after every number, so a poisoned frame still
+// splits into k non-empty clusters instead of failing the donor check.
+TEST(KMeansTest, NaNFeaturesStillGiveKNonEmptyClusters) {
+  Tensor points = ClusteredPoints();
+  points.at(3, 1) = std::numeric_limits<float>::quiet_NaN();
+  Tensor all_nan =
+      Tensor::Full({7, 2}, std::numeric_limits<float>::quiet_NaN());
+  for (const Tensor& features : {points, all_nan}) {
+    const int64_t v = features.dim(0);
+    Rng rng(63);
+    KMeansResult result = KMeansClusters(features, 4, rng);
+    ASSERT_EQ(result.clusters.size(), 4u);
+    std::set<int64_t> all;
+    for (const Hyperedge& c : result.clusters) {
+      EXPECT_FALSE(c.empty());
+      all.insert(c.begin(), c.end());
+    }
+    EXPECT_EQ(static_cast<int64_t>(all.size()), v);
+    std::vector<Hyperedge> knn = KnnHyperedges(features, 3);
+    for (const Hyperedge& e : knn) {
+      EXPECT_EQ(std::set<int64_t>(e.begin(), e.end()).size(), 3u);
+    }
   }
 }
 

@@ -9,20 +9,29 @@
 //  - the i-k-j row GEMM with the zero skip (the blocked kernel's
 //    equivalence baseline, compared to tolerance);
 //  - the dense (V, V) vertex-mix loops, fixed and per-frame, and the
-//    dense incidence products (the CSR kernels must match them bit for
-//    bit);
+//    dense incidence products (the CSR kernels and the edge-list Eq. 5
+//    must match them bit for bit);
+//  - the per-frame dynamic-topology pipeline: the stable-sort K-NN, the
+//    vector-of-clusters K-means, the edge union and one Hypergraph per
+//    frame (the one-pass frame construction must match it bit for bit);
 //  - the direct convolution loop nest (the im2col lowering's baseline,
 //    compared to tolerance);
 //  - the allocating layer-by-layer training loop (the Trainer's
 //    workspace path must reproduce its losses bit for bit).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "base/alloc_stats.h"
+#include "base/rng.h"
+#include "core/dynamic_topology.h"
 #include "data/dataloader.h"
 #include "hypergraph/hypergraph.h"
+#include "hypergraph/kmeans.h"
+#include "hypergraph/knn.h"
 #include "nn/conv2d.h"
 #include "nn/layer.h"
 #include "nn/loss.h"
@@ -192,6 +201,161 @@ inline Tensor WeightedIncidenceOperator(const Tensor& imp) {
   Tensor out({imp.dim(0), imp.dim(0)});
   MatMulTransposedBInto(imp, imp, &out);
   return out;
+}
+
+// --- Dynamic topology (Sec. 3.4) --------------------------------------------------
+
+/// The `k` nearest other vertices of `vertex`: every other vertex stably
+/// sorted by (distance, index), truncated. Finite distances only.
+inline std::vector<int64_t> NearestNeighbors(const Tensor& distances,
+                                             int64_t vertex, int64_t k) {
+  const int64_t v = distances.dim(0);
+  std::vector<int64_t> order;
+  for (int64_t j = 0; j < v; ++j) {
+    if (j != vertex) order.push_back(j);
+  }
+  const float* row = distances.data() + vertex * v;
+  std::stable_sort(order.begin(), order.end(), [row](int64_t a, int64_t b) {
+    if (row[a] != row[b]) return row[a] < row[b];
+    return a < b;
+  });
+  order.resize(static_cast<size_t>(k));
+  return order;
+}
+
+/// One K-NN hyperedge per vertex: the vertex, then its k-1 nearest.
+inline std::vector<Hyperedge> KnnHyperedges(const Tensor& features,
+                                            int64_t k) {
+  Tensor dist = PairwiseDistances(features);
+  std::vector<Hyperedge> edges;
+  for (int64_t i = 0; i < features.dim(0); ++i) {
+    Hyperedge e = {i};
+    std::vector<int64_t> nn = oracles::NearestNeighbors(dist, i, k - 1);
+    e.insert(e.end(), nn.begin(), nn.end());
+    edges.push_back(std::move(e));
+  }
+  return edges;
+}
+
+/// Medoid K-means with the clusters rebuilt as vectors every iteration:
+/// nearest medoid (ties -> lower cluster), empty clusters reseeded with
+/// the farthest node of a larger cluster (cluster-major scan, strict >),
+/// medoid = least mean distance (ties -> lower vertex). Finite
+/// distances only.
+inline KMeansResult KMeansClusters(const Tensor& features, int64_t k,
+                                   Rng& rng, int64_t max_iters) {
+  const int64_t v = features.dim(0);
+  Tensor dist = PairwiseDistances(features);
+  auto d = [&](int64_t a, int64_t b) { return dist.data()[a * v + b]; };
+  KMeansResult result;
+  result.medoids = rng.SampleWithoutReplacement(v, k);
+  std::sort(result.medoids.begin(), result.medoids.end());
+  for (int64_t iter = 0; iter < max_iters; ++iter) {
+    result.iterations = iter + 1;
+    std::vector<Hyperedge> clusters(static_cast<size_t>(k));
+    for (int64_t node = 0; node < v; ++node) {
+      int64_t best_cluster = 0;
+      float best_dist = d(node, result.medoids[0]);
+      for (int64_t c = 1; c < k; ++c) {
+        if (d(node, result.medoids[c]) < best_dist) {
+          best_dist = d(node, result.medoids[c]);
+          best_cluster = c;
+        }
+      }
+      clusters[static_cast<size_t>(best_cluster)].push_back(node);
+    }
+    for (size_t c = 0; c < clusters.size(); ++c) {
+      if (!clusters[c].empty()) continue;
+      int64_t steal_cluster = -1;
+      int64_t steal_node = -1;
+      float steal_dist = -1.0f;
+      for (size_t c2 = 0; c2 < clusters.size(); ++c2) {
+        if (clusters[c2].size() <= 1) continue;
+        for (int64_t node : clusters[c2]) {
+          if (d(node, result.medoids[c2]) > steal_dist) {
+            steal_dist = d(node, result.medoids[c2]);
+            steal_node = node;
+            steal_cluster = static_cast<int64_t>(c2);
+          }
+        }
+      }
+      auto& donor = clusters[static_cast<size_t>(steal_cluster)];
+      donor.erase(std::find(donor.begin(), donor.end(), steal_node));
+      clusters[c].push_back(steal_node);
+    }
+    std::vector<int64_t> new_medoids;
+    for (const Hyperedge& members : clusters) {
+      int64_t best = members[0];
+      double best_mean = std::numeric_limits<double>::infinity();
+      for (int64_t candidate : members) {
+        double total = 0.0;
+        for (int64_t other : members) total += d(candidate, other);
+        double mean = total / static_cast<double>(members.size());
+        if (mean < best_mean || (mean == best_mean && candidate < best)) {
+          best_mean = mean;
+          best = candidate;
+        }
+      }
+      new_medoids.push_back(best);
+    }
+    result.clusters = std::move(clusters);
+    if (new_medoids == result.medoids) {
+      result.converged = true;
+      break;
+    }
+    result.medoids = std::move(new_medoids);
+  }
+  return result;
+}
+
+/// The edges (and weights) of `a` followed by those of `b`.
+inline Hypergraph UnionWith(const Hypergraph& a, const Hypergraph& b) {
+  std::vector<Hyperedge> edges = a.edges();
+  edges.insert(edges.end(), b.edges().begin(), b.edges().end());
+  std::vector<float> weights = a.edge_weights();
+  weights.insert(weights.end(), b.edge_weights().begin(),
+                 b.edge_weights().end());
+  return Hypergraph(a.num_vertices(), std::move(edges), std::move(weights));
+}
+
+/// One frame's topology (V, F): K-NN edges united with K-means clusters,
+/// K-means seeded from (options.seed, frame_seed).
+inline Hypergraph DynamicTopologyHypergraph(
+    const Tensor& features, const DynamicTopologyOptions& options,
+    uint64_t frame_seed) {
+  const int64_t v = features.dim(0);
+  Rng rng(options.seed * 1000003ULL + frame_seed);
+  Hypergraph common(v, oracles::KnnHyperedges(features, options.kn));
+  Hypergraph global(v, oracles::KMeansClusters(features, options.km, rng,
+                                               options.kmeans_max_iters)
+                           .clusters);
+  return oracles::UnionWith(common, global);
+}
+
+/// (N, C, T, V) -> (N, T, V, V): per sample and frame, gather the (V, C)
+/// features, build the frame's Hypergraph and take the dense-factor
+/// Eq. 5.
+inline Tensor DynamicTopologyOperators(const Tensor& features,
+                                       const DynamicTopologyOptions& options) {
+  const int64_t n = features.dim(0), c = features.dim(1),
+                t = features.dim(2), v = features.dim(3);
+  Tensor ops({n, t, v, v});
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t tt = 0; tt < t; ++tt) {
+      Tensor frame({v, c});
+      for (int64_t j = 0; j < v; ++j) {
+        for (int64_t ch = 0; ch < c; ++ch) {
+          frame.at(j, ch) = features.data()[((b * c + ch) * t + tt) * v + j];
+        }
+      }
+      Tensor op = oracles::NormalizedHypergraphOperator(
+          oracles::DynamicTopologyHypergraph(frame, options,
+                                             static_cast<uint64_t>(tt)));
+      std::copy(op.data(), op.data() + v * v,
+                ops.data() + (b * t + tt) * v * v);
+    }
+  }
+  return ops;
 }
 
 // --- Direct convolution -------------------------------------------------------

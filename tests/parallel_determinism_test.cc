@@ -16,6 +16,7 @@
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/dhgcn_model.h"
+#include "core/dynamic_topology.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
 #include "data/synthetic_generator.h"
@@ -296,6 +297,26 @@ TEST(ParallelDeterminism, PairwiseDistancesWorkspace) {
     ws.Reset();
     return PairwiseDistances(features, &ws).Clone();
   });
+}
+
+// Frames run in parallel chunks of a fixed size: 8 x 13 frames make
+// seven chunks, the last one ragged, at C = 16 (row-kernel Gram) and
+// C = 32 (blocked), through the layer path's workspace and without one.
+// Enough chunks overlap that chunks sharing a buffer set would show.
+TEST(ParallelDeterminism, DynamicTopologyOperators) {
+  for (int64_t c : {16, 32}) {
+    Rng rng(static_cast<uint64_t>(213 + c));
+    Tensor features = Tensor::RandomNormal({8, c, 13, 25}, rng);
+    DynamicTopologyOptions options;
+    ExpectDeterministicAcrossThreadCounts("DynamicTopologyOperators", [&] {
+      return DynamicTopologyOperators(features, options);
+    });
+    Workspace ws;
+    ExpectDeterministicAcrossThreadCounts("DynamicTopologyOperators(ws)", [&] {
+      ws.Reset();
+      return DynamicTopologyOperators(features, options, &ws).Clone();
+    });
+  }
 }
 
 TEST(ParallelDeterminism, KMeansClusters) {

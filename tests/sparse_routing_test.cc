@@ -225,18 +225,24 @@ INSTANTIATE_TEST_SUITE_P(Densities, RoutedOperatorTest,
                                            1.0));
 
 TEST(RoutedOperator, NormalizedHypergraphOperatorMatchesDenseReference) {
-  // Random topologies (isolated vertices included) and the paper's
-  // static skeleton hypergraph.
+  // Random topologies (isolated vertices included), with unit and with
+  // non-unit edge weights, and the paper's static skeleton hypergraph.
   for (uint64_t seed : {300u, 301u, 302u, 303u}) {
     Rng rng(seed);
     const int64_t v = 14;
     std::vector<Hyperedge> edges;
+    std::vector<float> weights;
     for (int64_t e = 0; e < 5; ++e) {
       edges.push_back(rng.SampleWithoutReplacement(v, rng.UniformInt(2, 5)));
+      weights.push_back(rng.Uniform(0.1f, 3.0f));
     }
-    Hypergraph h(v, std::move(edges));
+    Hypergraph h(v, edges);
     ExpectBitEqual(oracles::NormalizedHypergraphOperator(h),
                    NormalizedHypergraphOperator(h), "random hypergraph");
+    Hypergraph weighted(v, std::move(edges), std::move(weights));
+    ExpectBitEqual(oracles::NormalizedHypergraphOperator(weighted),
+                   NormalizedHypergraphOperator(weighted),
+                   "random weighted hypergraph");
   }
   Hypergraph skeleton = StaticSkeletonHypergraph(
       GetSkeletonLayout(SkeletonLayoutType::kNtu25));
