@@ -38,8 +38,17 @@ class Rng {
     return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
   }
 
-  /// Standard normal scaled to N(mean, stddev^2).
+  /// Standard normal scaled to N(mean, stddev^2); `mean` when
+  /// stddev <= 0. std::normal_distribution requires stddev > 0, so that
+  /// case draws a standard normal and drops it: the polar method's engine
+  /// draws do not depend on the parameters, so the stream advances exactly
+  /// as for any other stddev.
   float Normal(float mean = 0.0f, float stddev = 1.0f) {
+    if (!(stddev > 0.0f)) {
+      std::normal_distribution<float> standard;
+      standard(engine_);
+      return mean;
+    }
     return std::normal_distribution<float>(mean, stddev)(engine_);
   }
 

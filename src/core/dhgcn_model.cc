@@ -125,15 +125,9 @@ Tensor DhgcnModel::ForwardImpl(const Tensor& input, Workspace* ws) {
     joint_ops = DynamicJointWeightOperators(input, static_hypergraph_, ws);
   }
 
-  Tensor x = LayerForward(*input_bn_, input, ws);
+  Tensor x = input_bn_->Forward(input, ws);
   for (auto& block : blocks_) {
-    if (ws != nullptr) {
-      Tensor y;
-      block->ForwardInto(x, joint_ops, *ws, &y);
-      x = std::move(y);
-    } else {
-      x = block->Forward(x, joint_ops);
-    }
+    x = block->Forward(x, joint_ops, ws);
     if (config_.enable_joint_weight &&
         block->options().temporal_stride != 1) {
       joint_ops = StrideOperatorsInTime(joint_ops,
@@ -141,45 +135,19 @@ Tensor DhgcnModel::ForwardImpl(const Tensor& input, Workspace* ws) {
                                         ws);
     }
   }
-  Tensor pooled = LayerForward(pool_, x, ws);
-  if (dropout_ != nullptr) pooled = LayerForward(*dropout_, pooled, ws);
-  return LayerForward(*classifier_, pooled, ws);
+  Tensor pooled = pool_.Forward(x, ws);
+  if (dropout_ != nullptr) pooled = dropout_->Forward(pooled, ws);
+  return classifier_->Forward(pooled, ws);
 }
 
 Tensor DhgcnModel::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
-  Tensor g = LayerBackward(*classifier_, grad_output, ws);
-  if (dropout_ != nullptr) g = LayerBackward(*dropout_, g, ws);
-  g = LayerBackward(pool_, g, ws);
+  Tensor g = classifier_->Backward(grad_output, ws);
+  if (dropout_ != nullptr) g = dropout_->Backward(g, ws);
+  g = pool_.Backward(g, ws);
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
-    if (ws != nullptr) {
-      Tensor next;
-      (*it)->BackwardInto(g, *ws, &next);
-      g = std::move(next);
-    } else {
-      g = (*it)->Backward(g);
-    }
+    g = (*it)->Backward(g, ws);
   }
-  return LayerBackward(*input_bn_, g, ws);
-}
-
-Tensor DhgcnModel::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor DhgcnModel::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void DhgcnModel::ForwardInto(const Tensor& input, Workspace& ws,
-                             Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void DhgcnModel::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                              Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
+  return input_bn_->Backward(g, ws);
 }
 
 std::vector<ParamRef> DhgcnModel::Params() {

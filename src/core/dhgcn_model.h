@@ -62,11 +62,6 @@ class DhgcnModel : public Layer {
   /// Validates the configuration before construction.
   static Result<std::unique_ptr<DhgcnModel>> Make(const DhgcnConfig& config);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::vector<ParamRef> Params() override;
   void SetTraining(bool training) override;
   std::string name() const override;
@@ -81,8 +76,8 @@ class DhgcnModel : public Layer {
   const Hypergraph& static_hypergraph() const { return static_hypergraph_; }
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   DhgcnConfig config_;
   Hypergraph static_hypergraph_;

@@ -189,8 +189,8 @@ int64_t DhstBlock::Record(PlanBuilder& builder, int64_t x,
   return temporal_relu_.Record(builder, t_pre);
 }
 
-Tensor DhstBlock::ForwardImpl(const Tensor& x, const Tensor& joint_ops,
-                              Workspace* ws) {
+Tensor DhstBlock::Forward(const Tensor& x, const Tensor& joint_ops,
+                          Workspace* ws) {
   DHGCN_CHECK_EQ(x.ndim(), 4);
   DHGCN_CHECK_EQ(x.dim(1), options_.in_channels);
 
@@ -198,8 +198,7 @@ Tensor DhstBlock::ForwardImpl(const Tensor& x, const Tensor& joint_ops,
   Tensor branch_sum;
   bool first = true;
   if (options_.enable_static) {
-    Tensor b =
-        LayerForward(*static_mix_, LayerForward(*static_theta_, x, ws), ws);
+    Tensor b = static_mix_->Forward(static_theta_->Forward(x, ws), ws);
     branch_sum = std::move(b);
     first = false;
   }
@@ -207,8 +206,7 @@ Tensor DhstBlock::ForwardImpl(const Tensor& x, const Tensor& joint_ops,
     DHGCN_CHECK_EQ(joint_ops.ndim(), 4);
     DHGCN_CHECK_EQ(joint_ops.dim(1), x.dim(2));
     weight_mix_->SetOperators(joint_ops);
-    Tensor b =
-        LayerForward(*weight_mix_, LayerForward(*weight_theta_, x, ws), ws);
+    Tensor b = weight_mix_->Forward(weight_theta_->Forward(x, ws), ws);
     if (first) {
       branch_sum = std::move(b);
       first = false;
@@ -217,10 +215,10 @@ Tensor DhstBlock::ForwardImpl(const Tensor& x, const Tensor& joint_ops,
     }
   }
   if (options_.enable_topology) {
-    Tensor mapped = LayerForward(*topology_map_, x, ws);
+    Tensor mapped = topology_map_->Forward(x, ws);
     topology_mix_->SetOperators(
         DynamicTopologyOperators(mapped, options_.topology, ws));
-    Tensor b = LayerForward(*topology_mix_, mapped, ws);
+    Tensor b = topology_mix_->Forward(mapped, ws);
     if (first) {
       branch_sum = std::move(b);
       first = false;
@@ -229,80 +227,56 @@ Tensor DhstBlock::ForwardImpl(const Tensor& x, const Tensor& joint_ops,
     }
   }
 
-  Tensor s_pre = LayerForward(*spatial_bn_, branch_sum, ws);
+  Tensor s_pre = spatial_bn_->Forward(branch_sum, ws);
   if (spatial_residual_ != nullptr) {
-    AddInPlace(s_pre, LayerForward(*spatial_residual_, x, ws));
+    AddInPlace(s_pre, spatial_residual_->Forward(x, ws));
   } else {
     AddInPlace(s_pre, x);
   }
-  Tensor s = LayerForward(spatial_relu_, s_pre, ws);
+  Tensor s = spatial_relu_.Forward(s_pre, ws);
 
   // --- Temporal half. ---
-  Tensor t_pre =
-      LayerForward(*temporal_bn_, LayerForward(*temporal_conv_, s, ws), ws);
+  Tensor t_pre = temporal_bn_->Forward(temporal_conv_->Forward(s, ws), ws);
   if (temporal_residual_ != nullptr) {
-    AddInPlace(t_pre, LayerForward(*temporal_residual_, s, ws));
+    AddInPlace(t_pre, temporal_residual_->Forward(s, ws));
   } else {
     AddInPlace(t_pre, s);
   }
-  return LayerForward(temporal_relu_, t_pre, ws);
+  return temporal_relu_.Forward(t_pre, ws);
 }
 
-Tensor DhstBlock::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
-  Tensor g_tpre = LayerBackward(temporal_relu_, grad_output, ws);
-  Tensor g_s = LayerBackward(*temporal_conv_,
-                             LayerBackward(*temporal_bn_, g_tpre, ws), ws);
+Tensor DhstBlock::Backward(const Tensor& grad_output, Workspace* ws) {
+  Tensor g_tpre = temporal_relu_.Backward(grad_output, ws);
+  Tensor g_s =
+      temporal_conv_->Backward(temporal_bn_->Backward(g_tpre, ws), ws);
   if (temporal_residual_ != nullptr) {
-    AddInPlace(g_s, LayerBackward(*temporal_residual_, g_tpre, ws));
+    AddInPlace(g_s, temporal_residual_->Backward(g_tpre, ws));
   } else {
     AddInPlace(g_s, g_tpre);
   }
 
-  Tensor g_spre = LayerBackward(spatial_relu_, g_s, ws);
-  Tensor g_sum = LayerBackward(*spatial_bn_, g_spre, ws);
+  Tensor g_spre = spatial_relu_.Backward(g_s, ws);
+  Tensor g_sum = spatial_bn_->Backward(g_spre, ws);
   Tensor g_x;
   if (spatial_residual_ != nullptr) {
-    g_x = LayerBackward(*spatial_residual_, g_spre, ws);
+    g_x = spatial_residual_->Backward(g_spre, ws);
   } else {
     g_x = NewTensor(ws, g_spre.shape());
     g_x.CopyFrom(g_spre);
   }
   if (options_.enable_static) {
-    AddInPlace(g_x, LayerBackward(*static_theta_,
-                                  LayerBackward(*static_mix_, g_sum, ws),
-                                  ws));
+    AddInPlace(g_x,
+               static_theta_->Backward(static_mix_->Backward(g_sum, ws), ws));
   }
   if (options_.enable_joint_weight) {
-    AddInPlace(g_x, LayerBackward(*weight_theta_,
-                                  LayerBackward(*weight_mix_, g_sum, ws),
-                                  ws));
+    AddInPlace(g_x,
+               weight_theta_->Backward(weight_mix_->Backward(g_sum, ws), ws));
   }
   if (options_.enable_topology) {
-    AddInPlace(g_x, LayerBackward(*topology_map_,
-                                  LayerBackward(*topology_mix_, g_sum, ws),
-                                  ws));
+    AddInPlace(g_x, topology_map_->Backward(
+                        topology_mix_->Backward(g_sum, ws), ws));
   }
   return g_x;
-}
-
-Tensor DhstBlock::Forward(const Tensor& x, const Tensor& joint_ops) {
-  return ForwardImpl(x, joint_ops, nullptr);
-}
-
-Tensor DhstBlock::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void DhstBlock::ForwardInto(const Tensor& x, const Tensor& joint_ops,
-                            Workspace& ws, Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(x, joint_ops, &ws);
-}
-
-void DhstBlock::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                             Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
 }
 
 std::vector<ParamRef> DhstBlock::Params() {

@@ -60,18 +60,14 @@ class DhstBlock {
 
   /// `x` is (N, C_in, T, V); `joint_ops` is (N, T, V, V) — the Eq. 9
   /// operators at this block's temporal resolution (ignored when the
-  /// joint-weight branch is disabled; pass an empty tensor then).
-  Tensor Forward(const Tensor& x, const Tensor& joint_ops);
+  /// joint-weight branch is disabled; pass an empty tensor then). With a
+  /// workspace, activations and the dynamic-topology operators borrow
+  /// arena storage, as in `Layer::Forward`; the kernels are the same.
+  Tensor Forward(const Tensor& x, const Tensor& joint_ops,
+                 Workspace* ws = nullptr);
 
   /// Returns d loss / d x for the previous block.
-  Tensor Backward(const Tensor& grad_output);
-
-  /// Workspace-planned variants: activations (and the dynamic-topology
-  /// operators) are arena-backed; same kernels as the allocating path.
-  void ForwardInto(const Tensor& x, const Tensor& joint_ops, Workspace& ws,
-                   Tensor* out);
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input);
+  Tensor Backward(const Tensor& grad_output, Workspace* ws = nullptr);
 
   std::vector<ParamRef> Params();
   void SetTraining(bool training);
@@ -94,9 +90,6 @@ class DhstBlock {
   int64_t Record(PlanBuilder& builder, int64_t x, int64_t joint_ops);
 
  private:
-  Tensor ForwardImpl(const Tensor& x, const Tensor& joint_ops, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
-
   DhstBlockOptions options_;
 
   // Spatial branches (each: 1x1 conv Theta, then vertex aggregation).

@@ -25,11 +25,6 @@ bool SampleHasFiniteData(const SkeletonSample& sample) {
   return TensorHasFiniteValues(sample.data);
 }
 
-bool SampleIsValid(const SkeletonSample& sample, int64_t num_classes) {
-  return sample.label >= 0 && sample.label < num_classes &&
-         SampleHasFiniteData(sample);
-}
-
 SampleValidationReport QuarantineInvalidSamples(
     std::vector<SkeletonSample>* samples, int64_t num_classes) {
   SampleValidationReport report;

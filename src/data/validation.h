@@ -33,9 +33,6 @@ bool TensorHasFiniteValues(const Tensor& tensor);
 /// True when every coordinate of `sample.data` is finite.
 bool SampleHasFiniteData(const SkeletonSample& sample);
 
-/// True when the sample passes all ingest checks.
-bool SampleIsValid(const SkeletonSample& sample, int64_t num_classes);
-
 /// Removes invalid samples from `samples` in place (order preserved).
 SampleValidationReport QuarantineInvalidSamples(
     std::vector<SkeletonSample>* samples, int64_t num_classes);

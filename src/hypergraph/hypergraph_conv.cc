@@ -212,25 +212,6 @@ Tensor VertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-Tensor VertexMix::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor VertexMix::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void VertexMix::ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void VertexMix::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                             Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
 std::string VertexMix::name() const {
   return StrCat("VertexMix(V=", op_.dim(0), ")");
 }
@@ -370,26 +351,6 @@ Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) 
     }
   }
   return grad_input;
-}
-
-Tensor DynamicVertexMix::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor DynamicVertexMix::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void DynamicVertexMix::ForwardInto(const Tensor& input, Workspace& ws,
-                                   Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void DynamicVertexMix::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                                    Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
 }
 
 }  // namespace dhgcn

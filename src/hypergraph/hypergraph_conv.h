@@ -57,11 +57,6 @@ class VertexMix : public Layer {
  public:
   explicit VertexMix(Tensor op);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::string name() const override;
   int64_t Record(PlanBuilder& builder, int64_t in) override;
 
@@ -73,8 +68,8 @@ class VertexMix : public Layer {
   const Tensor& op() const { return op_; }
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   Tensor op_;  // (V, V)
   Tensor cached_input_;
@@ -97,11 +92,6 @@ class DynamicVertexMix : public Layer {
   /// matching the upcoming input's N, T, V.
   void SetOperators(Tensor ops);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::string name() const override { return "DynamicVertexMix"; }
 
   /// Plan-replay entry: applies explicit per-frame operators `ops`
@@ -112,8 +102,8 @@ class DynamicVertexMix : public Layer {
   void MixPlan(const Tensor& input, const Tensor& ops, Tensor* out) const;
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   Tensor ops_;  // (N, T, V, V)
 

@@ -28,7 +28,7 @@ AdaptiveSpatial::AdaptiveSpatial(int64_t in_channels, int64_t out_channels,
   b_grad_ = Tensor(base_op_.shape());
 }
 
-Tensor AdaptiveSpatial::Forward(const Tensor& input) {
+Tensor AdaptiveSpatial::ForwardImpl(const Tensor& input, Workspace* /*ws*/) {
   DHGCN_CHECK_EQ(input.ndim(), 4);
   int64_t v = input.dim(3);
   DHGCN_CHECK_EQ(v, base_op_.dim(0));
@@ -98,7 +98,8 @@ Tensor AdaptiveSpatial::Forward(const Tensor& input) {
   return out;
 }
 
-Tensor AdaptiveSpatial::Backward(const Tensor& grad_output) {
+Tensor AdaptiveSpatial::BackwardImpl(const Tensor& grad_output,
+                                     Workspace* /*ws*/) {
   int64_t n = grad_output.dim(0), cout = grad_output.dim(1),
           t = grad_output.dim(2), v = grad_output.dim(3);
   DHGCN_CHECK_EQ(cout, cached_h_.dim(1));

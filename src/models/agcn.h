@@ -28,8 +28,6 @@ class AdaptiveSpatial : public Layer {
   AdaptiveSpatial(int64_t in_channels, int64_t out_channels, Tensor base_op,
                   Rng& rng, int64_t embed_channels = 0);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
   void SetTraining(bool training) override;
   std::string name() const override;
@@ -38,6 +36,10 @@ class AdaptiveSpatial : public Layer {
   const Tensor& attention() const { return cached_attention_; }
 
  private:
+  // Ignore `ws` and return owning tensors (DESIGN.md §6).
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
+
   std::unique_ptr<Conv2d> w_;      // feature transform (Theta of Eq. 5)
   std::unique_ptr<Conv2d> theta_;  // attention query embedding
   std::unique_ptr<Conv2d> phi_;    // attention key embedding

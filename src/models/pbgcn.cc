@@ -53,7 +53,7 @@ PartSumSpatial::PartSumSpatial(int64_t in_channels, int64_t out_channels,
   }
 }
 
-Tensor PartSumSpatial::Forward(const Tensor& input) {
+Tensor PartSumSpatial::ForwardImpl(const Tensor& input, Workspace* /*ws*/) {
   DHGCN_CHECK_EQ(input.ndim(), 4);
   Tensor sum;
   for (size_t p = 0; p < part_convs_.size(); ++p) {
@@ -86,7 +86,8 @@ Tensor PartSumSpatial::Forward(const Tensor& input) {
   return sum;
 }
 
-Tensor PartSumSpatial::Backward(const Tensor& grad_output) {
+Tensor PartSumSpatial::BackwardImpl(const Tensor& grad_output,
+                                    Workspace* /*ws*/) {
   Tensor grad_input;
   int64_t v = grad_output.dim(3);
   int64_t rows = grad_output.numel() / v;

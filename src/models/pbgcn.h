@@ -28,8 +28,6 @@ class PartSumSpatial : public Layer {
   PartSumSpatial(int64_t in_channels, int64_t out_channels,
                  const SkeletonLayout& layout, int64_t num_parts, Rng& rng);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
   void SetTraining(bool training) override;
   std::string name() const override;
@@ -39,6 +37,10 @@ class PartSumSpatial : public Layer {
   }
 
  private:
+  // Ignore `ws` and return owning tensors (DESIGN.md §6).
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
+
   std::vector<std::unique_ptr<Conv2d>> part_convs_;
   std::vector<Tensor> part_ops_;  // (V, V) each
 };

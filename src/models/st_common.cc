@@ -38,7 +38,7 @@ StBlock::StBlock(LayerPtr spatial, int64_t in_channels, int64_t out_channels,
   }
 }
 
-Tensor StBlock::Forward(const Tensor& input) {
+Tensor StBlock::ForwardImpl(const Tensor& input, Workspace* /*ws*/) {
   Tensor s_pre = spatial_bn_->Forward(spatial_->Forward(input));
   if (spatial_residual_ != nullptr) {
     AddInPlace(s_pre, spatial_residual_->Forward(input));
@@ -55,7 +55,7 @@ Tensor StBlock::Forward(const Tensor& input) {
   return temporal_relu_.Forward(t_pre);
 }
 
-Tensor StBlock::Backward(const Tensor& grad_output) {
+Tensor StBlock::BackwardImpl(const Tensor& grad_output, Workspace* /*ws*/) {
   Tensor g_tpre = temporal_relu_.Backward(grad_output);
   Tensor g_s = temporal_conv_->Backward(temporal_bn_->Backward(g_tpre));
   if (temporal_residual_ != nullptr) {
@@ -124,7 +124,7 @@ BackboneClassifier::BackboneClassifier(std::string model_name,
   classifier_ = std::make_unique<Linear>(feature_channels, num_classes, rng);
 }
 
-Tensor BackboneClassifier::Forward(const Tensor& input) {
+Tensor BackboneClassifier::ForwardImpl(const Tensor& input, Workspace* /*ws*/) {
   Tensor x = input_bn_->Forward(input);
   for (auto& block : blocks_) x = block->Forward(x);
   Tensor pooled = pool_.Forward(x);
@@ -132,7 +132,8 @@ Tensor BackboneClassifier::Forward(const Tensor& input) {
   return classifier_->Forward(pooled);
 }
 
-Tensor BackboneClassifier::Backward(const Tensor& grad_output) {
+Tensor BackboneClassifier::BackwardImpl(const Tensor& grad_output,
+                                        Workspace* /*ws*/) {
   Tensor g = classifier_->Backward(grad_output);
   if (dropout_ != nullptr) g = dropout_->Backward(g);
   g = pool_.Backward(g);

@@ -31,13 +31,15 @@ class StBlock : public Layer {
           int64_t temporal_stride, Rng& rng, int64_t temporal_kernel = 3,
           int64_t temporal_dilation = 1);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
   void SetTraining(bool training) override;
   std::string name() const override;
 
  private:
+  // Ignore `ws` and return owning tensors (DESIGN.md §6).
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
+
   LayerPtr spatial_;
   std::unique_ptr<BatchNorm2d> spatial_bn_;
   std::unique_ptr<Conv2d> spatial_residual_;  // null => identity
@@ -56,13 +58,15 @@ class BackboneClassifier : public Layer {
                      int64_t feature_channels, int64_t num_classes,
                      std::vector<LayerPtr> blocks, float dropout, Rng& rng);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
   void SetTraining(bool training) override;
   std::string name() const override { return model_name_; }
 
  private:
+  // Ignore `ws` and return owning tensors (DESIGN.md §6).
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
+
   std::string model_name_;
   std::unique_ptr<BatchNorm2d> input_bn_;
   std::vector<LayerPtr> blocks_;

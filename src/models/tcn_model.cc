@@ -32,7 +32,7 @@ TcnModel::TcnModel(SkeletonLayoutType layout, int64_t num_classes,
       scale.dropout, rng);
 }
 
-Tensor TcnModel::Forward(const Tensor& input) {
+Tensor TcnModel::ForwardImpl(const Tensor& input, Workspace* /*ws*/) {
   DHGCN_CHECK_EQ(input.ndim(), 4);
   DHGCN_CHECK_EQ(input.dim(3), num_joints_);
   cached_input_shape_ = input.shape();
@@ -44,7 +44,7 @@ Tensor TcnModel::Forward(const Tensor& input) {
   return backbone_->Forward(x);
 }
 
-Tensor TcnModel::Backward(const Tensor& grad_output) {
+Tensor TcnModel::BackwardImpl(const Tensor& grad_output, Workspace* /*ws*/) {
   Tensor g = backbone_->Backward(grad_output);
   g = g.Reshape({cached_input_shape_[0], cached_input_shape_[1],
                  num_joints_, cached_input_shape_[2]});

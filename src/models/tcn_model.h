@@ -21,13 +21,15 @@ class TcnModel : public Layer {
   TcnModel(SkeletonLayoutType layout, int64_t num_classes,
            const BaselineScale& scale, uint64_t seed);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
   void SetTraining(bool training) override;
   std::string name() const override { return "TCN"; }
 
  private:
+  // Ignore `ws` and return owning tensors (DESIGN.md §6).
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
+
   int64_t num_joints_;
   std::unique_ptr<BackboneClassifier> backbone_;
   Shape cached_input_shape_;

@@ -201,26 +201,6 @@ Tensor BatchNorm2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-Tensor BatchNorm2d::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void BatchNorm2d::ForwardInto(const Tensor& input, Workspace& ws,
-                              Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void BatchNorm2d::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                               Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
 std::vector<ParamRef> BatchNorm2d::Params() {
   return {{"gamma", &gamma_, &gamma_grad_, /*trainable=*/true},
           {"beta", &beta_, &beta_grad_, /*trainable=*/true},

@@ -19,11 +19,6 @@ class BatchNorm2d : public Layer {
   explicit BatchNorm2d(int64_t channels, float eps = 1e-5f,
                        float momentum = 0.1f);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::vector<ParamRef> Params() override;
   std::string name() const override;
   int64_t Record(PlanBuilder& builder, int64_t in) override;
@@ -42,8 +37,8 @@ class BatchNorm2d : public Layer {
   int64_t channels() const { return channels_; }
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   int64_t channels_;
   float eps_;

@@ -453,25 +453,6 @@ Tensor Conv2d::BackwardIm2col(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-Tensor Conv2d::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor Conv2d::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void Conv2d::ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void Conv2d::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                          Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
 std::vector<ParamRef> Conv2d::Params() {
   std::vector<ParamRef> params = {{"weight", &weight_, &weight_grad_}};
   if (options_.has_bias) params.push_back({"bias", &bias_, &bias_grad_});

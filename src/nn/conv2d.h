@@ -37,11 +37,6 @@ class Conv2d : public Layer {
   Conv2d(int64_t in_channels, int64_t out_channels,
          const Conv2dOptions& options, Rng& rng);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::vector<ParamRef> Params() override;
   std::string name() const override;
   int64_t Record(PlanBuilder& builder, int64_t in) override;
@@ -66,8 +61,8 @@ class Conv2d : public Layer {
                            int64_t pad, int64_t dilation);
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
   /// Shared forward kernels: both the layer path and plan replay land
   /// here, parameterized by raw weight/bias pointers and a pre-allocated
   /// destination (every element of `out` is written). Im2col lowers each

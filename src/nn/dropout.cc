@@ -38,25 +38,6 @@ Tensor Dropout::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-Tensor Dropout::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor Dropout::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void Dropout::ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void Dropout::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                           Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
 std::string Dropout::name() const { return StrCat("Dropout(", p_, ")"); }
 
 int64_t Dropout::Record(PlanBuilder& builder, int64_t in) {

@@ -14,11 +14,6 @@ class Dropout : public Layer {
  public:
   Dropout(float p, Rng& rng);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::string name() const override;
 
   /// Eval-mode dropout is a true identity fast path: the forward returns
@@ -31,8 +26,8 @@ class Dropout : public Layer {
   float p() const { return p_; }
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   float p_;
   Rng rng_;

@@ -1,20 +1,16 @@
 #include "nn/layer.h"
 
-#include "tensor/workspace.h"
-
 namespace dhgcn {
 
 void Layer::ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) {
-  (void)ws;
   DHGCN_CHECK(out != nullptr);
-  *out = Forward(input);
+  *out = ForwardImpl(input, &ws);
 }
 
 void Layer::BackwardInto(const Tensor& grad_output, Workspace& ws,
                          Tensor* grad_input) {
-  (void)ws;
   DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = Backward(grad_output);
+  *grad_input = BackwardImpl(grad_output, &ws);
 }
 
 int64_t Layer::Record(PlanBuilder& builder, int64_t in) {
@@ -35,20 +31,6 @@ int64_t Layer::ParameterCount() {
     if (p.trainable) count += p.value->numel();
   }
   return count;
-}
-
-Tensor LayerForward(Layer& layer, const Tensor& input, Workspace* ws) {
-  if (ws == nullptr) return layer.Forward(input);
-  Tensor out;
-  layer.ForwardInto(input, *ws, &out);
-  return out;
-}
-
-Tensor LayerBackward(Layer& layer, const Tensor& grad_output, Workspace* ws) {
-  if (ws == nullptr) return layer.Backward(grad_output);
-  Tensor grad_input;
-  layer.BackwardInto(grad_output, *ws, &grad_input);
-  return grad_input;
 }
 
 }  // namespace dhgcn

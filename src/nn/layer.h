@@ -35,6 +35,16 @@ struct ParamRef {
 /// into its parameters' `grad` tensors, and returns the gradient w.r.t. the
 /// layer input. Call order within a training step must therefore be
 /// Forward -> Backward on each layer, innermost activations first.
+///
+/// A layer implements exactly one virtual pair, `ForwardImpl` and
+/// `BackwardImpl`, each taking an optional Workspace. With a workspace,
+/// returned activations and cached state may borrow arena storage (valid
+/// until the next `ws.Reset()`); with null, every returned tensor owns its
+/// storage. Both run the same kernels, so both give the same bits.
+/// Parameter gradients always accumulate into owning storage. A layer may
+/// ignore the workspace and return owning tensors; the baseline zoo does
+/// (DESIGN.md §6 gives the reason). The public entry points below are
+/// non-virtual spellings of that pair.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -43,25 +53,22 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Computes the layer output, caching state needed by Backward.
-  virtual Tensor Forward(const Tensor& input) = 0;
+  Tensor Forward(const Tensor& input, Workspace* ws = nullptr) {
+    return ForwardImpl(input, ws);
+  }
 
   /// Propagates `grad_output` (d loss / d output) through the layer;
   /// returns d loss / d input and accumulates parameter gradients.
-  virtual Tensor Backward(const Tensor& grad_output) = 0;
+  Tensor Backward(const Tensor& grad_output, Workspace* ws = nullptr) {
+    return BackwardImpl(grad_output, ws);
+  }
 
-  /// Workspace-planned forward: assigns the output (typically a tensor
-  /// borrowed from `ws`, valid until the next `ws.Reset()`) to `*out`.
-  /// Migrated layers run the same kernels as `Forward` on arena storage
-  /// (bit-identical outputs, no heap allocation); the default delegates
-  /// to `Forward`, so unmigrated layers keep working on the workspace
-  /// path — they just still allocate.
-  virtual void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out);
+  /// `Forward(input, &ws)`, assigned to `*out`.
+  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out);
 
-  /// Workspace-planned backward; mirrors ForwardInto. Parameter
-  /// gradients are always accumulated into owning storage — only the
-  /// returned activation gradient may live in `ws`.
-  virtual void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                            Tensor* grad_input);
+  /// `Backward(grad_output, &ws)`, assigned to `*grad_input`.
+  void BackwardInto(const Tensor& grad_output, Workspace& ws,
+                    Tensor* grad_input);
 
   /// Records this layer's inference computation into an execution plan
   /// (see src/plan/). `in` is the plan slot holding the layer input;
@@ -98,16 +105,19 @@ class Layer {
   Layer() = default;
 
  private:
+  virtual Tensor ForwardImpl(const Tensor& input, Workspace* ws) = 0;
+  virtual Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) = 0;
+
   bool training_ = true;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
 
-/// Runs `layer` forward through the Into path when `ws` is non-null,
-/// the legacy allocating path otherwise. Composite blocks use these so
-/// one control flow serves both execution modes.
-Tensor LayerForward(Layer& layer, const Tensor& input, Workspace* ws);
-Tensor LayerBackward(Layer& layer, const Tensor& grad_output, Workspace* ws);
+/// Free-function spelling of `layer.Forward(input, ws)`, kept for the
+/// perfbench driver, which calls it.
+inline Tensor LayerForward(Layer& layer, const Tensor& input, Workspace* ws) {
+  return layer.Forward(input, ws);
+}
 
 }  // namespace dhgcn
 

@@ -98,25 +98,6 @@ Tensor Linear::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   return dx.Reshape(cached_input_shape_);
 }
 
-Tensor Linear::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor Linear::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void Linear::ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void Linear::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                          Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
 std::vector<ParamRef> Linear::Params() {
   std::vector<ParamRef> params = {{"weight", &weight_, &weight_grad_}};
   if (has_bias_) params.push_back({"bias", &bias_, &bias_grad_});

@@ -19,11 +19,6 @@ class Linear : public Layer {
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
          bool has_bias = true);
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::vector<ParamRef> Params() override;
   std::string name() const override;
 
@@ -53,8 +48,8 @@ class Linear : public Layer {
   // Shared kernels behind both execution modes: `ws == nullptr` runs on
   // fresh owning tensors (legacy), otherwise on arena storage. One code
   // path keeps the two modes bit-identical.
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
   /// y = x2d w^T (+ bias row-broadcast) into the pre-shaped 2-D `y`;
   /// both forward paths land here.
   void RunLinear(const Tensor& x2d, const Tensor& w, const float* pb,

@@ -64,24 +64,4 @@ Tensor GlobalAvgPool2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-Tensor GlobalAvgPool2d::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor GlobalAvgPool2d::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void GlobalAvgPool2d::ForwardInto(const Tensor& input, Workspace& ws,
-                                  Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void GlobalAvgPool2d::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                                   Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
 }  // namespace dhgcn

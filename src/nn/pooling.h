@@ -13,11 +13,6 @@ class GlobalAvgPool2d : public Layer {
  public:
   GlobalAvgPool2d() = default;
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::string name() const override { return "GlobalAvgPool2d"; }
   int64_t Record(PlanBuilder& builder, int64_t in) override;
 
@@ -27,8 +22,8 @@ class GlobalAvgPool2d : public Layer {
   void EvalPlan(const Tensor& input, Tensor* out) const;
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   Shape cached_input_shape_;
 };

@@ -51,23 +51,4 @@ Tensor ReLU::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-Tensor ReLU::Forward(const Tensor& input) {
-  return ForwardImpl(input, nullptr);
-}
-
-Tensor ReLU::Backward(const Tensor& grad_output) {
-  return BackwardImpl(grad_output, nullptr);
-}
-
-void ReLU::ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  *out = ForwardImpl(input, &ws);
-}
-
-void ReLU::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                        Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  *grad_input = BackwardImpl(grad_output, &ws);
-}
-
 }  // namespace dhgcn

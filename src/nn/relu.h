@@ -12,11 +12,6 @@ class ReLU : public Layer {
  public:
   ReLU() = default;
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::string name() const override { return "ReLU"; }
   int64_t Record(PlanBuilder& builder, int64_t in) override;
 
@@ -26,8 +21,8 @@ class ReLU : public Layer {
   static void EvalPlan(const Tensor& input, Tensor* out);
 
  private:
-  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
-  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws);
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   Tensor cached_mask_;  // 1 where input > 0
 };

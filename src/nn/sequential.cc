@@ -1,46 +1,21 @@
 #include "nn/sequential.h"
 
 #include "base/string_util.h"
-#include "tensor/workspace.h"
 
 namespace dhgcn {
 
-Tensor Sequential::Forward(const Tensor& input) {
+Tensor Sequential::ForwardImpl(const Tensor& input, Workspace* ws) {
   Tensor x = input;
-  for (auto& layer : layers_) x = layer->Forward(x);
+  for (auto& layer : layers_) x = layer->Forward(x, ws);
   return x;
 }
 
-Tensor Sequential::Backward(const Tensor& grad_output) {
+Tensor Sequential::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   Tensor g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
+    g = (*it)->Backward(g, ws);
   }
   return g;
-}
-
-void Sequential::ForwardInto(const Tensor& input, Workspace& ws,
-                             Tensor* out) {
-  DHGCN_CHECK(out != nullptr);
-  Tensor x = input;
-  for (auto& layer : layers_) {
-    Tensor y;
-    layer->ForwardInto(x, ws, &y);
-    x = std::move(y);
-  }
-  *out = std::move(x);
-}
-
-void Sequential::BackwardInto(const Tensor& grad_output, Workspace& ws,
-                              Tensor* grad_input) {
-  DHGCN_CHECK(grad_input != nullptr);
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    Tensor next;
-    (*it)->BackwardInto(g, ws, &next);
-    g = std::move(next);
-  }
-  *grad_input = std::move(g);
 }
 
 std::vector<ParamRef> Sequential::Params() {

@@ -24,13 +24,6 @@ class Sequential : public Layer {
     return raw;
   }
 
-  void Append(LayerPtr layer) { layers_.push_back(std::move(layer)); }
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out) override;
-  void BackwardInto(const Tensor& grad_output, Workspace& ws,
-                    Tensor* grad_input) override;
   std::vector<ParamRef> Params() override;
   void SetTraining(bool training) override;
   std::string name() const override;
@@ -43,6 +36,9 @@ class Sequential : public Layer {
   Layer* layer(size_t i) { return layers_.at(i).get(); }
 
  private:
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
+
   std::vector<LayerPtr> layers_;
 };
 

@@ -39,9 +39,6 @@ class FakeServeClock : public ServeClock {
     now_ns_.fetch_add(delta_ns, std::memory_order_acq_rel);
   }
   void AdvanceMillis(int64_t delta_ms) { AdvanceNanos(delta_ms * 1000000); }
-  void SetNanos(int64_t now_ns) {
-    now_ns_.store(now_ns, std::memory_order_release);
-  }
 
  private:
   std::atomic<int64_t> now_ns_;

@@ -118,7 +118,7 @@ PlanRunner* FrozenModel::RunnerForBatch(int64_t batch_size,
 
 Tensor FrozenModel::Forward(const Tensor& batch, Workspace& ws) {
   PlanRunner* runner = RunnerForBatch(batch.dim(0), batch.shape());
-  if (runner == nullptr) return LayerForward(*model_, batch, &ws);
+  if (runner == nullptr) return model_->Forward(batch, &ws);
   // The runner's output borrows its pinned arena and is overwritten by
   // the next Run; copy the (B, classes) logits into the caller's
   // workspace to keep Forward's borrowed-from-`ws` contract.

@@ -76,11 +76,6 @@ struct MinOp {
 
 }  // namespace
 
-Tensor BinaryOp(const Tensor& a, const Tensor& b,
-                const std::function<float(float, float)>& op) {
-  return BinaryOpT(a, b, op);
-}
-
 Tensor Add(const Tensor& a, const Tensor& b) { return BinaryOpT(a, b, AddOp{}); }
 Tensor Sub(const Tensor& a, const Tensor& b) { return BinaryOpT(a, b, SubOp{}); }
 Tensor Mul(const Tensor& a, const Tensor& b) { return BinaryOpT(a, b, MulOp{}); }
@@ -94,15 +89,6 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
 
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
   BinaryOpInto(a, b, AddOp{}, out);
-}
-void SubInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  BinaryOpInto(a, b, SubOp{}, out);
-}
-void MulInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  BinaryOpInto(a, b, MulOp{}, out);
-}
-void DivInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  BinaryOpInto(a, b, DivOp{}, out);
 }
 
 void AddInPlace(Tensor& a, const Tensor& b) {
@@ -142,13 +128,6 @@ Tensor MulScalar(const Tensor& a, float s) {
 void MulScalarInPlace(Tensor& a, float s) {
   float* pa = a.data();
   for (int64_t i = 0; i < a.numel(); ++i) pa[i] *= s;
-}
-void MulScalarInto(const Tensor& a, float s, Tensor* out) {
-  UnaryOpInto(a, [s](float x) { return x * s; }, out);
-}
-
-Tensor UnaryOp(const Tensor& a, const std::function<float(float)>& op) {
-  return UnaryOpT(a, op);
 }
 
 Tensor Neg(const Tensor& a) {

@@ -1,7 +1,6 @@
 #ifndef DHGCN_TENSOR_TENSOR_OPS_H_
 #define DHGCN_TENSOR_TENSOR_OPS_H_
 
-#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -22,8 +21,7 @@ namespace dhgcn {
 //    (typically workspace-borrowed), allocation-free;
 //  - templated (`BinaryOpT(a, b, functor)` / `BinaryOpInto(...)`) — the
 //    underlying kernels, statically dispatched so the per-element call
-//    inlines. The `std::function` overloads below are thin wrappers kept
-//    for API compatibility.
+//    inlines.
 //
 // Into-variant contract (all ops): `out` must be non-null and already
 // have the exact result shape, and must not alias an input unless every
@@ -120,14 +118,6 @@ Tensor Minimum(const Tensor& a, const Tensor& b);
 
 // Out-parameter variants (see contract above).
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
-void SubInto(const Tensor& a, const Tensor& b, Tensor* out);
-void MulInto(const Tensor& a, const Tensor& b, Tensor* out);
-void DivInto(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// Generic broadcasted elementwise combine (type-erased wrapper around
-/// BinaryOpT; prefer the templated form in hot code).
-Tensor BinaryOp(const Tensor& a, const Tensor& b,
-                const std::function<float(float, float)>& op);
 
 // In-place (no broadcasting; shapes must match exactly).
 void AddInPlace(Tensor& a, const Tensor& b);
@@ -140,15 +130,11 @@ void Axpy(float alpha, const Tensor& b, Tensor& a);
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
 void MulScalarInPlace(Tensor& a, float s);
-void MulScalarInto(const Tensor& a, float s, Tensor* out);
 
 // ---------------------------------------------------------------------------
 // Elementwise unary operations.
 // ---------------------------------------------------------------------------
 
-/// Type-erased wrapper around UnaryOpT; prefer the templated form in hot
-/// code.
-Tensor UnaryOp(const Tensor& a, const std::function<float(float)>& op);
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
 Tensor Log(const Tensor& a);

@@ -87,9 +87,8 @@ EvalMetrics Evaluate(Layer& model, DataLoader& loader,
       }
       if (it != runners.end()) runner = it->second.get();
     }
-    Tensor logits = runner != nullptr
-                        ? runner->Run(batch.x)
-                        : LayerForward(model, batch.x, &workspace);
+    Tensor logits = runner != nullptr ? runner->Run(batch.x)
+                                      : model.Forward(batch.x, &workspace);
     float batch_loss =
         loss.TryForward(logits, batch.labels, workspace).ValueOrDie();
     accumulator.Add(logits, batch.labels, batch_loss);

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -177,6 +178,15 @@ TEST(RngTest, SampleWithoutReplacementFullSet) {
   std::vector<int64_t> sample = rng.SampleWithoutReplacement(6, 6);
   std::sort(sample.begin(), sample.end());
   for (int64_t i = 0; i < 6; ++i) EXPECT_EQ(sample[static_cast<size_t>(i)], i);
+}
+
+TEST(RngTest, NormalWithZeroStddevReturnsMeanAndAdvancesLikeADraw) {
+  Rng flat(21), spread(21);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(flat.Normal(2.5f, 0.0f), 2.5f);
+    EXPECT_TRUE(std::isfinite(spread.Normal(2.5f, 1.0f)));
+  }
+  EXPECT_EQ(flat.SerializeState(), spread.SerializeState());
 }
 
 TEST(RngTest, SplitProducesIndependentStream) {

@@ -485,15 +485,18 @@ class DhstBlockHarness : public Layer {
                    Rng& rng, Tensor joint_ops)
       : block_(options, h, rng), joint_ops_(std::move(joint_ops)) {}
 
-  Tensor Forward(const Tensor& x) override {
-    return block_.Forward(x, joint_ops_);
-  }
-  Tensor Backward(const Tensor& g) override { return block_.Backward(g); }
   std::vector<ParamRef> Params() override { return block_.Params(); }
   void SetTraining(bool training) override { block_.SetTraining(training); }
   std::string name() const override { return "DhstBlockHarness"; }
 
  private:
+  Tensor ForwardImpl(const Tensor& x, Workspace* ws) override {
+    return block_.Forward(x, joint_ops_, ws);
+  }
+  Tensor BackwardImpl(const Tensor& g, Workspace* ws) override {
+    return block_.Backward(g, ws);
+  }
+
   DhstBlock block_;
   Tensor joint_ops_;
 };

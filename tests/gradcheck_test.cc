@@ -141,11 +141,16 @@ TEST(GradCheck, VertexMixFixed) {
 class DynamicVertexMixHarness : public Layer {
  public:
   DynamicVertexMixHarness(Tensor ops) { mix_.SetOperators(std::move(ops)); }
-  Tensor Forward(const Tensor& x) override { return mix_.Forward(x); }
-  Tensor Backward(const Tensor& g) override { return mix_.Backward(g); }
   std::string name() const override { return "DynamicVertexMixHarness"; }
 
  private:
+  Tensor ForwardImpl(const Tensor& x, Workspace* ws) override {
+    return mix_.Forward(x, ws);
+  }
+  Tensor BackwardImpl(const Tensor& g, Workspace* ws) override {
+    return mix_.Backward(g, ws);
+  }
+
   DynamicVertexMix mix_;
 };
 

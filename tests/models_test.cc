@@ -1,4 +1,7 @@
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -14,6 +17,7 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 
 namespace dhgcn {
 namespace {
@@ -33,6 +37,15 @@ ModelZooOptions TinyZoo() {
   options.km = 2;
   options.seed = 5;
   return options;
+}
+
+void ExpectSameBits(const Tensor& a, const Tensor& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.numel()) * sizeof(float)),
+            0)
+      << what;
 }
 
 // --- Model zoo ------------------------------------------------------------------
@@ -113,6 +126,34 @@ TEST_P(AllModelsParamTest, OneSgdStepReducesLossOnFixedBatch) {
     sgd.Step();
   }
   EXPECT_LT(current, initial) << ModelKindName(GetParam());
+}
+
+// The owning spelling (Forward(x)/Backward(g)) and the workspace spelling
+// (Forward(x, &ws)/Backward(g, &ws)) of the one layer contract must agree
+// bit for bit: logits, input gradient, every parameter gradient and the
+// batch-norm running statistics.
+TEST_P(AllModelsParamTest, WorkspaceSpellingMatchesOwningBitForBit) {
+  LayerPtr owning = CreateModel(GetParam(), SkeletonLayoutType::kKinetics18,
+                                5, TinyZoo());
+  LayerPtr planned = CreateModel(GetParam(), SkeletonLayoutType::kKinetics18,
+                                 5, TinyZoo());
+  Rng rng(8);
+  Tensor x = Tensor::RandomNormal({3, 3, 8, 18}, rng, 0.0f, 0.5f);
+  Tensor g = Tensor::RandomNormal({3, 5}, rng);
+  Workspace ws;
+  ExpectSameBits(owning->Forward(x), planned->Forward(x, &ws), "logits");
+  ExpectSameBits(owning->Backward(g), planned->Backward(g, &ws),
+                 "input gradient");
+  std::vector<ParamRef> po = owning->Params();
+  std::vector<ParamRef> pp = planned->Params();
+  ASSERT_EQ(po.size(), pp.size());
+  for (size_t i = 0; i < po.size(); ++i) {
+    if (po[i].trainable) {
+      ExpectSameBits(*po[i].grad, *pp[i].grad, po[i].name + " grad");
+    } else {
+      ExpectSameBits(*po[i].value, *pp[i].value, po[i].name);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -86,24 +86,24 @@ class IntoAdapter : public Layer {
  public:
   explicit IntoAdapter(Layer& inner) : inner_(inner) {}
 
-  Tensor Forward(const Tensor& input) override {
+  std::vector<ParamRef> Params() override { return inner_.Params(); }
+  void SetTraining(bool training) override { inner_.SetTraining(training); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  Tensor ForwardImpl(const Tensor& input, Workspace* /*ws*/) override {
     ws_.Reset();
     Tensor out;
     inner_.ForwardInto(input, ws_, &out);
     return out.Clone();
   }
 
-  Tensor Backward(const Tensor& grad_output) override {
+  Tensor BackwardImpl(const Tensor& grad_output, Workspace* /*ws*/) override {
     Tensor grad_input;
     inner_.BackwardInto(grad_output, ws_, &grad_input);
     return grad_input.Clone();
   }
 
-  std::vector<ParamRef> Params() override { return inner_.Params(); }
-  void SetTraining(bool training) override { inner_.SetTraining(training); }
-  std::string name() const override { return inner_.name(); }
-
- private:
   Layer& inner_;
   Workspace ws_;
 };
@@ -323,15 +323,13 @@ TEST(WorkspaceIntoTest, DhstBlockBitExact) {
 
   Tensor y_legacy = legacy.Forward(x, joint_ops);
   Workspace ws;
-  Tensor y_planned;
-  planned.ForwardInto(x, joint_ops, ws, &y_planned);
+  Tensor y_planned = planned.Forward(x, joint_ops, &ws);
   ExpectBitEqual(y_legacy, y_planned, "block forward");
 
   Rng grad_rng(103);
   Tensor grad_out = Tensor::RandomNormal(y_legacy.shape(), grad_rng);
   Tensor gx_legacy = legacy.Backward(grad_out);
-  Tensor gx_planned;
-  planned.BackwardInto(grad_out, ws, &gx_planned);
+  Tensor gx_planned = planned.Backward(grad_out, &ws);
   ExpectBitEqual(gx_legacy, gx_planned, "block input gradient");
 
   std::vector<ParamRef> pl = legacy.Params();

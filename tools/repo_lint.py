@@ -13,9 +13,11 @@ Rules (see DESIGN.md §7 for the rationale):
                  `std::chrono` are banned in src/ (library code): hidden
                  entropy or wall-clock reads break deterministic resume.
                  Seeded dhgcn::Rng and base/timer.h are the blessed paths.
-  fwd-bwd-pair   Every file in src/ that mentions `ForwardInto` must also
-                 implement `BackwardInto` (the shared-impl contract from
-                 the workspace-planned execution design).
+  fwd-bwd-pair   Every file in src/ that overrides `ForwardImpl` must also
+                 override `BackwardImpl`: the two are a layer's one
+                 virtual forward/backward pair, and a subclass that
+                 overrides only one pairs its forward with an inherited
+                 backward.
   discard        `(void)expr(...)` / `static_cast<void>(expr(...))` casts
                  that swallow a call result need an adjacent
                  `// lint: allow-discard` justification.
@@ -222,6 +224,8 @@ SIMD_RULE_EXEMPT = {
 }
 
 PAIR_RULE = "fwd-bwd-pair"
+FORWARD_IMPL = re.compile(r"\bForwardImpl\s*\(")
+BACKWARD_IMPL = re.compile(r"\bBackwardImpl\s*\(")
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 SKIP_DIRS = {"build", "build-asan", ".git", "repo_lint_testdata", "third_party"}
 
@@ -441,18 +445,18 @@ def lint_file(root, rel_path):
         findings.extend(lint_ws_lifetime(rel_path, code_lines, allowed))
 
     if rule_applies(LIBRARY, rel_path) and PAIR_RULE not in file_allows:
-        joined = "\n".join(code_lines)
-        if "ForwardInto" in joined and "BackwardInto" not in joined:
-            line_no = next(
-                i + 1 for i, c in enumerate(code_lines) if "ForwardInto" in c
-            )
+        forward_lines = [
+            i + 1 for i, c in enumerate(code_lines) if FORWARD_IMPL.search(c)
+        ]
+        has_backward = any(BACKWARD_IMPL.search(c) for c in code_lines)
+        if forward_lines and not has_backward:
             findings.append(
                 Finding(
                     rel_path,
-                    line_no,
+                    forward_lines[0],
                     PAIR_RULE,
-                    "file uses ForwardInto but implements no BackwardInto "
-                    "(shared-impl contract)",
+                    "file overrides ForwardImpl but not BackwardImpl "
+                    "(one-pair layer contract)",
                 )
             )
     return findings

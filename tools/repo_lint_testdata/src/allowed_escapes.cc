@@ -53,8 +53,8 @@ void WsLifetimeEscape(Workspace& ws) {
 
 // lint: allow-fwd-bwd-pair-file — inference-only layer, no backward.
 class InferenceOnlyLayer {
- public:
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out);
+ private:
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
 };
 
 }  // namespace dhgcn

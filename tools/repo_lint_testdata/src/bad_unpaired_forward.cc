@@ -1,4 +1,4 @@
-// Fixture: ForwardInto without a shared-impl BackwardInto (rule
+// Fixture: a ForwardImpl override without a BackwardImpl override (rule
 // fwd-bwd-pair).
 namespace dhgcn {
 
@@ -6,8 +6,8 @@ class Tensor;
 class Workspace;
 
 class HalfLayer {
- public:
-  void ForwardInto(const Tensor& input, Workspace& ws, Tensor* out);
+ private:
+  Tensor ForwardImpl(const Tensor& input, Workspace* ws);
 };
 
 }  // namespace dhgcn
