@@ -300,8 +300,10 @@ void DynamicVertexMix::MixPlan(const Tensor& input, const Tensor& ops,
 }
 
 Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
+  DHGCN_CHECK_EQ(grad_output.ndim(), 4);
   int64_t n = grad_output.dim(0), c = grad_output.dim(1),
           t = grad_output.dim(2), v = grad_output.dim(3);
+  DHGCN_CHECK(ShapesEqual(Shape{n, t, v, v}, ops_.shape()));
   Tensor grad_input = NewZeroedTensor(ws, grad_output.shape());
   const float* pg = grad_output.data();
   const float* pops = ops_.data();

@@ -280,26 +280,26 @@ Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   const Conv2dOptions& o = options_;
   const Tensor& input = cached_input_;
   int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  DHGCN_CHECK_EQ(grad_output.dim(0), n);
-  DHGCN_CHECK_EQ(grad_output.dim(1), out_channels_);
+  DHGCN_CHECK(ShapesEqual(
+      grad_output.shape(),
+      Shape{n, out_channels_,
+            OutputDim(h, o.kernel_h, o.stride_h, o.pad_h, o.dilation_h),
+            OutputDim(w, o.kernel_w, o.stride_w, o.pad_w, o.dilation_w)}));
 
   if (IsPointwise()) {
     // dX_b = W^T g_b; dW += g_b x_b^T (per batch, transposed GEMMs — no
-    // scratch product tensors). Two parallel phases so each phase's
-    // chunks write disjoint outputs: grad_input is batch-parallel,
-    // weight/bias grads are out-channel-parallel with an ascending batch
-    // loop inside (the same per-element accumulation order as the old
-    // single interleaved batch loop).
+    // scratch product tensors). Each phase's chunks write disjoint
+    // outputs: grad_input is in-channel- or batch-parallel, the weight
+    // gradient takes out-channel row blocks of the blocked kernel, one
+    // batch at a time in ascending order, and the bias gradient is
+    // out-channel-parallel.
     Tensor grad_input = NewZeroedTensor(ws, input.shape());
     const float* px = input.data();
     const float* pg = grad_output.data();
     float* pgi = grad_input.data();
     int64_t plane = h * w;
     Tensor weight_2d = weight_.Reshape({out_channels_, in_channels_});
-    Tensor weight_grad_2d =
-        weight_grad_.Reshape({out_channels_, in_channels_});
     const float* pw2 = weight_2d.data();
-    float* pwg2 = weight_grad_2d.data();
     if (detail::GemmUseBlocked(in_channels_, out_channels_, plane)) {
       // dX_b = W^T g_b through the blocked kernel: transpose-pack W once,
       // pack each batch's gradient, tile over in-channels. grad_input is
@@ -342,16 +342,11 @@ Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
             }
           });
     }
-    ThreadPool::Get().ParallelFor(
-        0, out_channels_, GrainForFlops(n * in_channels_ * plane),
-        [&](int64_t o0, int64_t o1) {
-          for (int64_t b = 0; b < n; ++b) {
-            detail::GemmTransposedB(pg + (b * out_channels_ + o0) * plane,
-                                    px + b * in_channels_ * plane,
-                                    pwg2 + o0 * in_channels_, o1 - o0, plane,
-                                    in_channels_, /*accumulate=*/true);
-          }
-        });
+    for (int64_t b = 0; b < n; ++b) {
+      detail::GemmTransposedBBlocked(
+          pg + b * out_channels_ * plane, px + b * in_channels_ * plane,
+          weight_grad_.data(), out_channels_, plane, in_channels_);
+    }
     if (o.has_bias) {
       float* pbg = bias_grad_.data();
       ThreadPool::Get().ParallelFor(
@@ -403,18 +398,13 @@ Tensor Conv2d::BackwardIm2col(const Tensor& grad_output, Workspace* ws) {
   for (int64_t b = 0; b < n; ++b) {
     const float* pgb = pg + b * out_channels_ * out_plane;
     // dW += g_b col_b^T: recompute the column matrix (cheaper than
-    // caching n of them) and take double-accumulated contiguous dots,
-    // out-channel-parallel with the batch loop serial ascending — the
-    // same per-element order at every thread count.
+    // caching n of them) and run the blocked kernel on out-channel row
+    // blocks, batches ascending — the same per-element order at every
+    // thread count.
     Im2Col(px + b * in_channels_ * h * w, h, w, o, in_channels_, oh, ow,
            pcol);
-    ThreadPool::Get().ParallelFor(
-        0, out_channels_, GrainForFlops(ckk * out_plane),
-        [&](int64_t o0, int64_t o1) {
-          detail::GemmTransposedB(pgb + o0 * out_plane, pcol,
-                                  pgw + o0 * ckk, o1 - o0, out_plane, ckk,
-                                  /*accumulate=*/true);
-        });
+    detail::GemmTransposedBBlocked(pgb, pcol, pgw, out_channels_, out_plane,
+                                   ckk);
     // dcol = W^T g_b via the blocked kernel, then scatter back to the
     // input gradient.
     detail::GemmPackB(pgb, out_channels_, out_plane, pgp);

@@ -256,6 +256,22 @@ void GemmPackB(const float* b, int64_t k, int64_t n, float* bp) {
   }
 }
 
+void GemmPackBTransposed(const float* b, int64_t n, int64_t k, float* bp) {
+  const int64_t panels = (n + kGemmNR - 1) / kGemmNR;
+  for (int64_t panel = 0; panel < panels; ++panel) {
+    const int64_t j0 = panel * kGemmNR;
+    const int64_t cols = std::min(kGemmNR, n - j0);
+    const float* src = b + j0 * k;
+    float* dst = bp + panel * k * kGemmNR;
+    // The panel's rows of B stream in step, one cache line each.
+    for (int64_t p = 0; p < k; ++p) {
+      float* out = dst + p * kGemmNR;
+      for (int64_t j = 0; j < cols; ++j) out[j] = src[j * k + p];
+      for (int64_t j = cols; j < kGemmNR; ++j) out[j] = 0.0f;
+    }
+  }
+}
+
 void GemmPackTransposed(const float* a, int64_t k, int64_t m, float* at) {
   // Square tiles keep both the strided reads and the contiguous writes
   // cache-resident; the write side (at) is the one the kernel streams.

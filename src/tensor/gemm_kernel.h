@@ -51,6 +51,10 @@ int64_t GemmPackedBCount(int64_t k, int64_t n);
 /// zero-padded to kGemmNR). `bp` must hold GemmPackedBCount(k, n) floats.
 void GemmPackB(const float* b, int64_t k, int64_t n, float* bp);
 
+/// GemmPackB of B^T for row-major B (n,k): the same panel layout as
+/// packing the (k,n) transpose, without materializing it.
+void GemmPackBTransposed(const float* b, int64_t n, int64_t k, float* bp);
+
 /// Transpose-pack: writes at (m,k) row-major with at[i,p] = a[p,i] for
 /// row-major a (k,m). Lets A^T * B products reuse the dense blocked
 /// kernel without strided panel reads.

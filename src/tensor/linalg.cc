@@ -55,9 +55,9 @@ void GemmTransposedAAccumulate(const float* a, const float* b, float* c,
 }
 
 // C (M,N) = or += A (M,K) * B^T (for B (N,K)); each output element is a
-// contiguous dot product, accumulated in double. Deliberately not
-// routed through the blocked kernel: weight gradients and loss-path
-// reductions lean on the extra precision.
+// contiguous dot product, accumulated in double. The kernel behind
+// MatMulTransposedBInto, kept off the blocked kernel, where a row's bits
+// would depend on the product's other rows (DESIGN.md §10).
 void GemmTransposedB(const float* a, const float* b, float* c, int64_t m,
                      int64_t k, int64_t n, bool accumulate) {
   for (int64_t i = 0; i < m; ++i) {
@@ -92,19 +92,12 @@ void ZeroFill(Tensor* out) {
   for (int64_t i = 0; i < out->numel(); ++i) p[i] = 0.0f;
 }
 
-// Blocked core: packs B into panels staged in the process-wide scratch
-// arena (zero owning allocations in steady state), then hands kGemmMR-row
-// blocks of C to the pool. Chunk boundaries fall on row-tile multiples —
-// a pure function of shape — and each C element's accumulation order is
-// fixed by (k, n) alone, so results are bit-identical for every thread
-// count. Must run on the driving thread (the pack scratch is not
-// task-safe), which ParallelFor's no-nesting rule already guarantees.
-void ParallelGemmBlocked(const float* a, const float* b, float* c, int64_t m,
-                         int64_t k, int64_t n) {
-  Workspace& scratch = detail::GemmPackScratch();
-  Tensor bp = scratch.Acquire({detail::GemmPackedBCount(k, n)});
-  float* pbp = bp.data();
-  detail::GemmPackB(b, k, n, pbp);
+// Hands kGemmMR-row blocks of C (m,n) += A (m,k) * packed B to the
+// pool. Chunk boundaries fall on row-tile multiples — a pure function of
+// shape — and each C element's accumulation order is fixed by (k, n)
+// alone, so results are bit-identical for every thread count.
+void ParallelBlockedRows(const float* a, const float* bp, float* c,
+                         int64_t m, int64_t k, int64_t n) {
   const int64_t row_blocks = (m + kGemmMR - 1) / kGemmMR;
   ThreadPool::Get().ParallelFor(
       0, row_blocks,
@@ -112,9 +105,21 @@ void ParallelGemmBlocked(const float* a, const float* b, float* c, int64_t m,
       [&](int64_t b0, int64_t b1) {
         const int64_t r0 = b0 * kGemmMR;
         const int64_t r1 = std::min(m, b1 * kGemmMR);
-        detail::GemmBlockedPackedB(a + r0 * k, pbp, c + r0 * n, r1 - r0, k,
+        detail::GemmBlockedPackedB(a + r0 * k, bp, c + r0 * n, r1 - r0, k,
                                    n);
       });
+}
+
+// Blocked core: packs B into panels staged in the process-wide scratch
+// arena (zero owning allocations in steady state), then splits the rows.
+// Must run on the driving thread (the pack scratch is not task-safe),
+// which ParallelFor's no-nesting rule already guarantees.
+void ParallelGemmBlocked(const float* a, const float* b, float* c, int64_t m,
+                         int64_t k, int64_t n) {
+  Workspace& scratch = detail::GemmPackScratch();
+  Tensor bp = scratch.Acquire({detail::GemmPackedBCount(k, n)});
+  detail::GemmPackB(b, k, n, bp.data());
+  ParallelBlockedRows(a, bp.data(), c, m, k, n);
   scratch.Reset();
 }
 
@@ -133,6 +138,19 @@ void ParallelGemm(const float* a, const float* b, float* c, int64_t m,
 }
 
 }  // namespace
+
+namespace detail {
+
+void GemmTransposedBBlocked(const float* a, const float* b, float* c,
+                            int64_t m, int64_t k, int64_t n) {
+  Workspace& scratch = GemmPackScratch();
+  Tensor bp = scratch.Acquire({GemmPackedBCount(k, n)});
+  GemmPackBTransposed(b, n, k, bp.data());
+  ParallelBlockedRows(a, bp.data(), c, m, k, n);
+  scratch.Reset();
+}
+
+}  // namespace detail
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   DHGCN_CHECK_EQ(a.ndim(), 2);
@@ -155,73 +173,6 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
   DHGCN_CHECK_EQ(out->dim(1), b.dim(1));
   if (!accumulate) ZeroFill(out);
   ParallelGemm(a.data(), b.data(), out->data(), a.dim(0), a.dim(1), b.dim(1));
-}
-
-Tensor BatchedMatMul(const Tensor& a, const Tensor& b) {
-  DHGCN_CHECK_EQ(a.ndim(), 3);
-  int64_t n = b.ndim() == 2 ? b.dim(1) : b.dim(2);
-  Tensor out({a.dim(0), a.dim(1), n});
-  BatchedMatMulInto(a, b, &out, /*accumulate=*/true);  // out is zeroed
-  return out;
-}
-
-void BatchedMatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
-                       bool accumulate) {
-  DHGCN_CHECK(out != nullptr);
-  DHGCN_CHECK_EQ(a.ndim(), 3);
-  int64_t batch = a.dim(0), m = a.dim(1), k = a.dim(2);
-  const bool shared_b = b.ndim() == 2;
-  if (shared_b) {
-    DHGCN_CHECK_EQ(b.dim(0), k);
-  } else {
-    DHGCN_CHECK_EQ(b.ndim(), 3);
-    DHGCN_CHECK_EQ(b.dim(0), batch);
-    DHGCN_CHECK_EQ(b.dim(1), k);
-  }
-  int64_t n = shared_b ? b.dim(1) : b.dim(2);
-  DHGCN_CHECK_EQ(out->ndim(), 3);
-  DHGCN_CHECK_EQ(out->dim(0), batch);
-  DHGCN_CHECK_EQ(out->dim(1), m);
-  DHGCN_CHECK_EQ(out->dim(2), n);
-  if (!accumulate) ZeroFill(out);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out->data();
-  if (shared_b && detail::GemmUseBlocked(m, k, n)) {
-    // One packed copy of the broadcast B serves every batch. Work items
-    // are kGemmMR-row tiles of the flattened (batch * m) output; tiles
-    // never straddle a batch, so each maps to one plain blocked GEMM.
-    Workspace& scratch = detail::GemmPackScratch();
-    Tensor bpacked = scratch.Acquire({detail::GemmPackedBCount(k, n)});
-    float* pbp = bpacked.data();
-    detail::GemmPackB(pb, k, n, pbp);
-    const int64_t blocks_per_batch = (m + kGemmMR - 1) / kGemmMR;
-    ThreadPool::Get().ParallelFor(
-        0, batch * blocks_per_batch,
-        GrainForFlopsTarget(kGemmMR * k * n, detail::kGemmChunkFlops),
-        [&](int64_t t0, int64_t t1) {
-          for (int64_t t = t0; t < t1; ++t) {
-            const int64_t bi = t / blocks_per_batch;
-            const int64_t r0 = (t % blocks_per_batch) * kGemmMR;
-            const int64_t r1 = std::min(m, r0 + kGemmMR);
-            detail::GemmBlockedPackedB(pa + (bi * m + r0) * k, pbp,
-                                       pc + (bi * m + r0) * n, r1 - r0, k,
-                                       n);
-          }
-        });
-    scratch.Reset();
-    return;
-  }
-  // Flattened (batch * m) output rows; row r of the flat view is row
-  // r % m of batch r / m, so chunks never straddle operand layout.
-  ThreadPool::Get().ParallelFor(
-      0, batch * m, GrainForFlops(k * n), [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const float* bi =
-              shared_b ? pb : pb + (r / m) * k * n;
-          GemmAccumulate(pa + r * k, bi, pc + r * n, 1, k, n);
-        }
-      });
 }
 
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
@@ -253,20 +204,9 @@ void MatMulTransposedAInto(const Tensor& a, const Tensor& b, Tensor* out,
     Workspace& scratch = detail::GemmPackScratch();
     Tensor at = scratch.Acquire({m, k});
     Tensor bp = scratch.Acquire({detail::GemmPackedBCount(k, n)});
-    float* pat = at.data();
-    float* pbp = bp.data();
-    detail::GemmPackTransposed(pa, k, m, pat);
-    detail::GemmPackB(pb, k, n, pbp);
-    const int64_t row_blocks = (m + kGemmMR - 1) / kGemmMR;
-    ThreadPool::Get().ParallelFor(
-        0, row_blocks,
-        GrainForFlopsTarget(kGemmMR * k * n, detail::kGemmChunkFlops),
-        [&](int64_t b0, int64_t b1) {
-          const int64_t r0 = b0 * kGemmMR;
-          const int64_t r1 = std::min(m, b1 * kGemmMR);
-          detail::GemmBlockedPackedB(pat + r0 * k, pbp, pc + r0 * n, r1 - r0,
-                                     k, n);
-        });
+    detail::GemmPackTransposed(pa, k, m, at.data());
+    detail::GemmPackB(pb, k, n, bp.data());
+    ParallelBlockedRows(at.data(), bp.data(), pc, m, k, n);
     scratch.Reset();
     return;
   }
@@ -305,10 +245,6 @@ void MatMulTransposedBInto(const Tensor& a, const Tensor& b, Tensor* out,
         GemmTransposedB(pa + r0 * k, pb, pc + r0 * n, r1 - r0, k, n,
                         accumulate);
       });
-}
-
-void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
-  MatMulInto(a, b, &out, /*accumulate=*/true);
 }
 
 }  // namespace dhgcn

@@ -8,20 +8,11 @@ namespace dhgcn {
 /// Matrix product of a (M,K) and b (K,N) -> (M,N).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// Batched matrix product.
-///
-/// a is (B,M,K). b is either (B,K,N) (per-batch matrices) or (K,N)
-/// (one matrix broadcast across the batch). Result is (B,M,N).
-Tensor BatchedMatMul(const Tensor& a, const Tensor& b);
-
 /// a^T * b for 2-D a (K,M), b (K,N) -> (M,N), without materializing a^T.
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
 /// a * b^T for 2-D a (M,K), b (N,K) -> (M,N), without materializing b^T.
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
-
-/// out += a * b for 2-D operands (shapes as MatMul).
-void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
 
 // ---------------------------------------------------------------------------
 // Out-parameter variants. `out` must be non-null with the exact result
@@ -33,13 +24,13 @@ void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
 // ---------------------------------------------------------------------------
 
 namespace detail {
-// Raw-pointer GEMM kernels shared by every entry point above/below (one
-// accumulation order per kernel family => bit-identical results across
-// APIs; the blocked kernel in tensor/gemm_kernel.h uses a different —
-// still shape-pure — accumulation order and is equivalence-tested
-// against the reference row kernel of tests/oracles.h rather than
-// bit-compared).
-// All operands row-major; Gemm and GemmTransposedA accumulate into c.
+// Raw-pointer GEMM kernels behind the entry points above/below, all
+// operands row-major. The row kernels (one accumulation order per
+// family) serve shapes below the blocked threshold; the blocked kernel
+// in tensor/gemm_kernel.h uses a different — still shape-pure — order
+// and is equivalence-tested against the reference row kernel of
+// tests/oracles.h rather than bit-compared.
+// Gemm and GemmTransposedA accumulate into c.
 void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n);
 void GemmTransposedAAccumulate(const float* a, const float* b, float* c,
@@ -49,14 +40,22 @@ void GemmTransposedAAccumulate(const float* a, const float* b, float* c,
 void GemmTransposedAAccumulateCols(const float* a, const float* b, float* c,
                                    int64_t k, int64_t m, int64_t n,
                                    int64_t j0, int64_t j1);
+// Double-accumulated dots: the kernel of MatMulTransposedBInto, where a
+// row's bits must not depend on the product's other rows (serving batch
+// transparency; DESIGN.md §10).
 void GemmTransposedB(const float* a, const float* b, float* c, int64_t m,
                      int64_t k, int64_t n, bool accumulate);
+// C (m,n) += A (m,k) * B^T for B (n,k) on the blocked kernel: packs B^T
+// into GemmPackScratch() panels and splits C into kGemmMR-row blocks
+// over the pool, so bits are identical at every thread count. Conv2d's
+// weight gradients call it once per batch, batches ascending. Driving
+// thread only.
+void GemmTransposedBBlocked(const float* a, const float* b, float* c,
+                            int64_t m, int64_t k, int64_t n);
 }  // namespace detail
 
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
                 bool accumulate = false);
-void BatchedMatMulInto(const Tensor& a, const Tensor& b, Tensor* out,
-                       bool accumulate = false);
 void MatMulTransposedAInto(const Tensor& a, const Tensor& b, Tensor* out,
                            bool accumulate = false);
 void MatMulTransposedBInto(const Tensor& a, const Tensor& b, Tensor* out,

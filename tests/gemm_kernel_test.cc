@@ -137,26 +137,32 @@ TEST(GemmKernel, TransposedAMatchesReference) {
                  "MatMulTransposedA vs reference");
 }
 
-TEST(GemmKernel, BatchedSharedBMatchesReference) {
-  Rng rng(504);
-  Tensor a = Tensor::RandomNormal({3, 48, 32}, rng);
-  Tensor b = Tensor::RandomNormal({32, 40}, rng);
-  Tensor got = BatchedMatMul(a, b);
-  for (int64_t bi = 0; bi < 3; ++bi) {
-    Tensor ai({48, 32});
-    for (int64_t i = 0; i < ai.numel(); ++i) {
-      ai.flat(i) = a.data()[bi * 48 * 32 + i];
+TEST(GemmKernel, TransposedBBlockedMatchesReference) {
+  // The conv weight-gradient product: C += A B^T for B (n,k), against
+  // the reference product on materialized b^T, accumulating into
+  // existing contents.
+  for (const GemmShape& s : kShapes) {
+    Rng rng(504 + s.m + s.k + s.n);
+    Tensor a = Tensor::RandomNormal({s.m, s.k}, rng);
+    Tensor b = Tensor::RandomNormal({s.n, s.k}, rng);
+    Tensor init = Tensor::RandomNormal({s.m, s.n}, rng);
+    Tensor bt({s.k, s.n});
+    for (int64_t j = 0; j < s.n; ++j) {
+      for (int64_t p = 0; p < s.k; ++p) {
+        bt.data()[p * s.n + j] = b.data()[j * s.k + p];
+      }
     }
-    Tensor want = ReferenceMatMul(ai, b);
-    for (int64_t i = 0; i < want.numel(); ++i) {
-      ASSERT_NEAR(want.flat(i), got.data()[bi * 48 * 40 + i],
-                  kAtol + kRtol * std::fabs(want.flat(i)))
-          << "batch " << bi << " flat " << i;
-    }
+    Tensor want = init.Clone();
+    oracles::GemmReferenceAccumulate(a.data(), bt.data(), want.data(), s.m,
+                                     s.k, s.n);
+    Tensor got = init.Clone();
+    detail::GemmTransposedBBlocked(a.data(), b.data(), got.data(), s.m, s.k,
+                                   s.n);
+    ExpectAllClose(want, got, "GemmTransposedBBlocked vs reference");
   }
 }
 
-// --- Conv2d im2col lowering vs the direct loop nest ----------------------
+// --- Conv2d lowerings (im2col, pointwise) vs the direct loop nest -------
 
 struct ConvCase {
   const char* name;
@@ -190,6 +196,18 @@ std::vector<ConvCase> ConvCases() {
     c.options.kernel_h = 2;
     c.options.kernel_w = 2;
     c.options.has_bias = false;
+    cases.push_back(c);
+  }
+  // Pointwise path: its own forward and input gradient, and a weight
+  // gradient with a partial panel (C_in = 8) and a partial kGemmMR row
+  // tile (C_out = 10).
+  cases.push_back(ConvCase{"1x1 pointwise", {}, 8, 10, {2, 8, 16, 25}});
+  {
+    // DHGCN temporal conv: OH*OW = 400 crosses kGemmKC in the weight
+    // gradient, and C_out = 10 leaves a partial kGemmMR row tile.
+    ConvCase c{"9x1 pad4", {}, 6, 10, {2, 6, 16, 25}};
+    c.options.kernel_h = 9;
+    c.options.pad_h = 4;
     cases.push_back(c);
   }
   return cases;

@@ -254,5 +254,18 @@ TEST(DynamicVertexMixDeathTest, ForwardWithoutOperators) {
   EXPECT_DEATH(mix.Forward(x), "DHGCN_CHECK");
 }
 
+// Backward indexes the operators with the gradient's N, T and V, so a
+// gradient that disagrees with them must stop before any read.
+TEST(DynamicVertexMixDeathTest, BackwardShapeMismatch) {
+  DynamicVertexMix mix;
+  mix.SetOperators(Tensor::Ones({1, 1, 4, 4}));
+  Tensor y = mix.Forward(Tensor::Ones({1, 2, 1, 4}));
+  ASSERT_EQ(y.shape(), (Shape{1, 2, 1, 4}));
+  EXPECT_DEATH(mix.Backward(Tensor::Ones({1, 2, 3, 4})), "DHGCN_CHECK");
+  EXPECT_DEATH(mix.Backward(Tensor::Ones({2, 2, 1, 4})), "DHGCN_CHECK");
+  EXPECT_DEATH(mix.Backward(Tensor::Ones({1, 2, 1, 5})), "DHGCN_CHECK");
+  EXPECT_DEATH(mix.Backward(Tensor::Ones({1, 2, 4})), "DHGCN_CHECK");
+}
+
 }  // namespace
 }  // namespace dhgcn

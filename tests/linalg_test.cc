@@ -80,40 +80,6 @@ TEST(MatMulTransposedTest, TransposedBMatchesExplicit) {
   EXPECT_TRUE(AllClose(MatMulTransposedB(a, b), expected, 1e-4f, 1e-5f));
 }
 
-TEST(BatchedMatMulTest, PerBatchMatrices) {
-  Rng rng(25);
-  Tensor a = Tensor::RandomNormal({3, 4, 5}, rng);
-  Tensor b = Tensor::RandomNormal({3, 5, 2}, rng);
-  Tensor c = BatchedMatMul(a, b);
-  EXPECT_EQ(c.shape(), (Shape{3, 4, 2}));
-  for (int64_t batch = 0; batch < 3; ++batch) {
-    Tensor ab = Slice(a, 0, batch, 1).Reshape({4, 5});
-    Tensor bb = Slice(b, 0, batch, 1).Reshape({5, 2});
-    Tensor cb = Slice(c, 0, batch, 1).Reshape({4, 2});
-    EXPECT_TRUE(AllClose(cb, MatMul(ab, bb), 1e-4f, 1e-5f));
-  }
-}
-
-TEST(BatchedMatMulTest, BroadcastSecondOperand) {
-  Rng rng(26);
-  Tensor a = Tensor::RandomNormal({3, 4, 5}, rng);
-  Tensor b = Tensor::RandomNormal({5, 2}, rng);
-  Tensor c = BatchedMatMul(a, b);
-  for (int64_t batch = 0; batch < 3; ++batch) {
-    Tensor ab = Slice(a, 0, batch, 1).Reshape({4, 5});
-    Tensor cb = Slice(c, 0, batch, 1).Reshape({4, 2});
-    EXPECT_TRUE(AllClose(cb, MatMul(ab, b), 1e-4f, 1e-5f));
-  }
-}
-
-TEST(MatMulAccumulateTest, AddsIntoExisting) {
-  Tensor a = Tensor::FromVector({1, 2}, {1, 2});
-  Tensor b = Tensor::FromVector({2, 1}, {3, 4});
-  Tensor out = Tensor::Full({1, 1}, 100.0f);
-  MatMulAccumulate(a, b, out);
-  EXPECT_FLOAT_EQ(out.at(0, 0), 111.0f);
-}
-
 TEST(MatMulPropertyTest, Associativity) {
   Rng rng(27);
   Tensor a = Tensor::RandomNormal({3, 4}, rng);

@@ -216,6 +216,31 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvShapeCase{9, 3, 2, 1, 1, 5},
                       ConvShapeCase{16, 1, 1, 0, 1, 16}));
 
+// Backward checks the whole gradient shape against what forward saw;
+// a smaller gradient would otherwise be read out of bounds (1x1 path)
+// or silently give wrong gradients (im2col path takes OH, OW from it).
+TEST(Conv2dDeathTest, PointwiseBackwardShapeMismatch) {
+  Rng rng(14);
+  Conv2d conv(2, 3, Conv2dOptions{}, rng);
+  Tensor y = conv.Forward(Tensor::RandomNormal({1, 2, 8, 5}, rng));
+  ASSERT_EQ(y.shape(), (Shape{1, 3, 8, 5}));
+  EXPECT_DEATH(conv.Backward(Tensor::Ones({1, 3, 1, 1})), "DHGCN_CHECK");
+  EXPECT_DEATH(conv.Backward(Tensor::Ones({1, 3, 8, 4})), "DHGCN_CHECK");
+  EXPECT_DEATH(conv.Backward(Tensor::Ones({1, 3, 40})), "DHGCN_CHECK");
+}
+
+TEST(Conv2dDeathTest, TemporalBackwardShapeMismatch) {
+  Rng rng(15);
+  Conv2dOptions options;
+  options.kernel_h = 9;
+  options.pad_h = 4;
+  Conv2d conv(2, 3, options, rng);
+  Tensor y = conv.Forward(Tensor::RandomNormal({1, 2, 16, 5}, rng));
+  ASSERT_EQ(y.shape(), (Shape{1, 3, 16, 5}));
+  EXPECT_DEATH(conv.Backward(Tensor::Ones({1, 3, 12, 5})), "DHGCN_CHECK");
+  EXPECT_DEATH(conv.Backward(Tensor::Ones({1, 3, 16, 6})), "DHGCN_CHECK");
+}
+
 // --- BatchNorm ------------------------------------------------------------------
 
 TEST(BatchNormTest, TrainingNormalizesBatch) {

@@ -103,30 +103,6 @@ TEST(ParallelDeterminism, MatMulBlockedOddShape) {
                                         [&] { return MatMul(a, b); });
 }
 
-TEST(ParallelDeterminism, BatchedMatMulSharedBBlocked) {
-  Rng rng(221);
-  Tensor a = Tensor::RandomNormal({3, 48, 32}, rng);
-  Tensor b = Tensor::RandomNormal({32, 40}, rng);
-  ExpectDeterministicAcrossThreadCounts(
-      "BatchedMatMul(blocked 2-D b)", [&] { return BatchedMatMul(a, b); });
-}
-
-TEST(ParallelDeterminism, BatchedMatMulPerBatch) {
-  Rng rng(202);
-  Tensor a = Tensor::RandomNormal({4, 40, 24}, rng);
-  Tensor b = Tensor::RandomNormal({4, 24, 16}, rng);
-  ExpectDeterministicAcrossThreadCounts(
-      "BatchedMatMul(3-D b)", [&] { return BatchedMatMul(a, b); });
-}
-
-TEST(ParallelDeterminism, BatchedMatMulSharedB) {
-  Rng rng(203);
-  Tensor a = Tensor::RandomNormal({4, 40, 24}, rng);
-  Tensor b = Tensor::RandomNormal({24, 16}, rng);
-  ExpectDeterministicAcrossThreadCounts(
-      "BatchedMatMul(2-D b)", [&] { return BatchedMatMul(a, b); });
-}
-
 TEST(ParallelDeterminism, MatMulTransposedA) {
   Rng rng(204);
   Tensor a = Tensor::RandomNormal({30, 40}, rng);
@@ -182,6 +158,9 @@ void CheckConvDeterminism(const char* what, const Conv2dOptions& options,
 TEST(ParallelDeterminism, Conv2dPointwise) {
   CheckConvDeterminism("Conv2d 1x1", Conv2dOptions{}, 8, 16,
                        {4, 8, 12, 10});
+  // C_out = 10 leaves a partial kGemmMR row tile in the weight gradient.
+  CheckConvDeterminism("Conv2d 1x1 8->10", Conv2dOptions{}, 8, 10,
+                       {4, 8, 16, 25});
 }
 
 TEST(ParallelDeterminism, Conv2dGeneral) {
