@@ -81,8 +81,29 @@ void ThreadPool::Run(TaskFn fn, void* ctx, int64_t begin, int64_t end,
   if (end <= begin) return;
 
   const int64_t chunks = (end - begin + grain - 1) / grain;
-  if (workers_.empty() || chunks == 1) {
-    // Serial fallback: same chunks, ascending order, calling thread.
+  bool published = false;
+  if (!workers_.empty() && chunks > 1) {
+    MutexLock lock(&mu_);
+    // Let stragglers from the previous job leave the claim loop before
+    // the job fields they read are overwritten. If another caller's job
+    // is (or becomes) in flight, the slot is taken: run inline below.
+    while (!job_in_flight_ && active_workers_ != 0) done_cv_.Wait(&mu_);
+    if (!job_in_flight_) {
+      job_in_flight_ = true;
+      published = true;
+      job_fn_ = fn;
+      job_ctx_ = ctx;
+      job_begin_ = begin;
+      job_end_ = end;
+      job_grain_ = grain;
+      job_chunks_ = chunks;
+      next_chunk_.store(0, std::memory_order_relaxed);
+      remaining_chunks_.store(chunks, std::memory_order_relaxed);
+      ++job_id_;
+    }
+  }
+  if (!published) {
+    // Serial path: same chunks, ascending order, calling thread.
     tls_in_parallel = true;
     for (int64_t c = 0; c < chunks; ++c) {
       int64_t chunk_begin = begin + c * grain;
@@ -90,22 +111,6 @@ void ThreadPool::Run(TaskFn fn, void* ctx, int64_t begin, int64_t end,
     }
     tls_in_parallel = false;
     return;
-  }
-
-  {
-    MutexLock lock(&mu_);
-    // Let stragglers from the previous job leave the claim loop before
-    // the job fields they read are overwritten.
-    while (active_workers_ != 0) done_cv_.Wait(&mu_);
-    job_fn_ = fn;
-    job_ctx_ = ctx;
-    job_begin_ = begin;
-    job_end_ = end;
-    job_grain_ = grain;
-    job_chunks_ = chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    remaining_chunks_.store(chunks, std::memory_order_relaxed);
-    ++job_id_;
   }
   worker_cv_.NotifyAll();
 
@@ -115,6 +120,7 @@ void ThreadPool::Run(TaskFn fn, void* ctx, int64_t begin, int64_t end,
   while (remaining_chunks_.load(std::memory_order_acquire) != 0) {
     done_cv_.Wait(&mu_);
   }
+  job_in_flight_ = false;
 }
 
 void ThreadPool::RunChunks() {

@@ -54,9 +54,12 @@ namespace dhgcn {
 /// plumbs it through the CLI tools. `threads == 1` spawns no workers at
 /// all and runs every chunk inline, in order, on the calling thread.
 ///
-/// `ParallelFor` may only be entered from one thread at a time (the
-/// library is externally single-threaded: one trainer/evaluator drives
-/// the pool).
+/// *Concurrent callers.* The pool has one job slot. A caller that
+/// finds another caller's job in flight does not wait for it: it runs
+/// its own chunks inline, in order, through the serial fallback path,
+/// which static partitioning makes bit-identical. So any number of
+/// threads (e.g. serving workers) may call `ParallelFor` at once;
+/// only `SetThreads` needs a quiescent pool.
 class ThreadPool {
  public:
   /// Upper bound on per-call reduction chunks (fixed-size slot array on
@@ -71,7 +74,8 @@ class ThreadPool {
 
   /// Reconfigures the pool to `n` total compute threads (the calling
   /// thread plus `n - 1` workers). `n >= 1`; `n == 1` is the fully
-  /// serial fallback. Must not be called from inside a task.
+  /// serial fallback. Must not be called from inside a task, nor while
+  /// another thread may be inside `ParallelFor`.
   void SetThreads(int64_t n);
 
   /// Total compute threads (calling thread included).
@@ -144,8 +148,8 @@ class ThreadPool {
   void StartWorkers(int64_t worker_count);
 
   /// threads_ and workers_ are reconfigured only at quiescent points
-  /// (SetThreads joins every worker first) and read by the configuring
-  /// thread, so they carry no guard.
+  /// (SetThreads joins every worker first) and only read in between, so
+  /// they carry no guard.
   int64_t threads_ = 1;
   std::vector<std::thread> workers_;
 
@@ -154,18 +158,22 @@ class ThreadPool {
   CondVar done_cv_;
   /// Incremented per job; workers wake when it changes.
   uint64_t job_id_ DHGCN_GUARDED_BY(mu_) = 0;
+  /// True from a job's publication until its caller has seen every
+  /// chunk finish. Other callers run inline meanwhile.
+  bool job_in_flight_ DHGCN_GUARDED_BY(mu_) = false;
   /// Workers currently inside RunChunks. Publication of the next job
   /// waits for this to reach zero, so job fields are never written
   /// while a straggler may still read them.
   int64_t active_workers_ DHGCN_GUARDED_BY(mu_) = 0;
   bool shutdown_ DHGCN_GUARDED_BY(mu_) = false;
 
-  // Current job. Written under mu_ while active_workers_ == 0; read by
-  // workers inside RunChunks *without* the lock, made safe by the
-  // job_id_ handshake above (each worker observes the new job_id_ under
-  // mu_ before touching these, and no write happens while any worker is
-  // active). RunChunks is the one DHGCN_NO_THREAD_SAFETY_ANALYSIS
-  // function in the tree for exactly this reason.
+  // Current job. Written under mu_ while no job is in flight and
+  // active_workers_ == 0; read by workers inside RunChunks *without* the
+  // lock, made safe by the job_id_ handshake above (each worker observes
+  // the new job_id_ under mu_ before touching these, and no write
+  // happens while any worker is active). RunChunks is the one
+  // DHGCN_NO_THREAD_SAFETY_ANALYSIS function in the tree for exactly
+  // this reason.
   TaskFn job_fn_ DHGCN_GUARDED_BY(mu_) = nullptr;
   void* job_ctx_ DHGCN_GUARDED_BY(mu_) = nullptr;
   int64_t job_begin_ DHGCN_GUARDED_BY(mu_) = 0;

@@ -131,7 +131,7 @@ Tensor DynamicTopologyOperators(const Tensor& features,
                    initial.data() + tt * km);
   }
   // One buffer set per chunk: a task owns its chunk's set and calls
-  // only serial kernels, never a process-wide scratch.
+  // only serial kernels, never a kernel scratch arena.
   const int64_t frames = n * t;
   const int64_t chunks = (frames + kFramesPerChunk - 1) / kFramesPerChunk;
   std::vector<FrameBuffers> buffers(static_cast<size_t>(chunks),

@@ -17,14 +17,13 @@ namespace dhgcn {
 
 namespace {
 
-// Process-wide CSR scratch for WeightedIncidenceOperator (capacity
-// reused across calls). Built and consumed on the compute-driving thread
-// only — the library is externally single-threaded (see ThreadPool), and
-// concurrent serve workers serialize compute behind the server's compute
-// lease — so the Meyers static needs no guard, same as the GEMM packing
-// scratch.
+// CSR scratch for WeightedIncidenceOperator and the per-frame
+// DynamicVertexMix route, owned by the calling thread (capacity reused
+// across calls). Each use builds and consumes it within one call on the
+// driving thread, so threads that drive ops concurrently never share
+// it, same as the GEMM packing scratch.
 CsrMatrix& IncidenceCsrScratch() {
-  static CsrMatrix scratch(1, 1);
+  thread_local CsrMatrix scratch(1, 1);
   return scratch;
 }
 
@@ -255,14 +254,15 @@ void DynamicVertexMix::MixPlan(const Tensor& input, const Tensor& ops,
     // One CSR compression per frame, reused across the C channels;
     // channels write disjoint output rows, so the per-frame channel
     // loop parallelizes without changing any accumulation order.
+    CsrMatrix& frame_csr = IncidenceCsrScratch();
     for (int64_t b = 0; b < n; ++b) {
       for (int64_t tt = 0; tt < t; ++tt) {
-        frame_csr_.AssignFromDense(pops + (b * t + tt) * v * v, v, v);
-        const int64_t* row_ptr = frame_csr_.row_ptr().data();
-        const int64_t* col_idx = frame_csr_.col_idx().data();
-        const float* values = frame_csr_.values().data();
+        frame_csr.AssignFromDense(pops + (b * t + tt) * v * v, v, v);
+        const int64_t* row_ptr = frame_csr.row_ptr().data();
+        const int64_t* col_idx = frame_csr.col_idx().data();
+        const float* values = frame_csr.values().data();
         ThreadPool::Get().ParallelFor(
-            0, c, GrainForFlops(frame_csr_.nnz() + 1),
+            0, c, GrainForFlops(frame_csr.nnz() + 1),
             [&](int64_t ch_begin, int64_t ch_end) {
               for (int64_t ch = ch_begin; ch < ch_end; ++ch) {
                 const float* xrow = px + ((b * c + ch) * t + tt) * v;
@@ -311,14 +311,15 @@ Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) 
   if (ShouldRouteSparse(MeasureDensity(ops_))) {
     // Same float scatter order as the dense loop below; channels own
     // disjoint grad rows, so the channel loop parallelizes.
+    CsrMatrix& frame_csr = IncidenceCsrScratch();
     for (int64_t b = 0; b < n; ++b) {
       for (int64_t tt = 0; tt < t; ++tt) {
-        frame_csr_.AssignFromDense(pops + (b * t + tt) * v * v, v, v);
-        const int64_t* row_ptr = frame_csr_.row_ptr().data();
-        const int64_t* col_idx = frame_csr_.col_idx().data();
-        const float* values = frame_csr_.values().data();
+        frame_csr.AssignFromDense(pops + (b * t + tt) * v * v, v, v);
+        const int64_t* row_ptr = frame_csr.row_ptr().data();
+        const int64_t* col_idx = frame_csr.col_idx().data();
+        const float* values = frame_csr.values().data();
         ThreadPool::Get().ParallelFor(
-            0, c, GrainForFlops(frame_csr_.nnz() + 1),
+            0, c, GrainForFlops(frame_csr.nnz() + 1),
             [&](int64_t ch_begin, int64_t ch_end) {
               for (int64_t ch = ch_begin; ch < ch_end; ++ch) {
                 const float* grow = pg + ((b * c + ch) * t + tt) * v;

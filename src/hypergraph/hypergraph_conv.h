@@ -28,7 +28,7 @@ namespace detail {
 /// Hyperedge e is members[offsets[e], offsets[e+1]) with weight
 /// weights[e] (unit weights when `weights` is null); every edge must be
 /// a vertex set. Writes Omega (nv, nv) row-major to `omega`. Serial and
-/// free of process-wide scratch: `degrees` (nv floats) and `acc`
+/// free of kernel scratch: `degrees` (nv floats) and `acc`
 /// (nv * nv doubles) are caller-owned.
 void NormalizedOperatorFromEdges(int64_t nv, int64_t ne,
                                  const int64_t* offsets,
@@ -106,10 +106,6 @@ class DynamicVertexMix : public Layer {
   Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   Tensor ops_;  // (N, T, V, V)
-
-  /// Per-frame CSR scratch for the routed path; capacity is reused
-  /// across frames and steps (mutable: MixPlan is const).
-  mutable CsrMatrix frame_csr_{1, 1};
   mutable bool route_logged_ = false;
 };
 

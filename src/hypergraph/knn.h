@@ -40,7 +40,7 @@ int64_t PairwiseDistancesScratchCount(int64_t v, int64_t f);
 /// Serial raw-buffer core of `PairwiseDistances`: writes the (v, v)
 /// distances of row-major features `x` (v, f) to `dist`, staging the
 /// Gram product in `scratch` (PairwiseDistancesScratchCount floats). It
-/// touches no process-wide scratch and never enters ParallelFor, so
+/// touches no kernel scratch arena and never enters ParallelFor, so
 /// ParallelFor tasks may call it on buffers they own.
 void PairwiseDistancesInto(const float* x, int64_t v, int64_t f,
                            float* scratch, float* dist);

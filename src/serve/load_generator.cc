@@ -78,7 +78,7 @@ LoadGenReport RunLoad(InferenceServer& server,
   }
 
   SubmitOptions submit;
-  submit.deadline_ns = options.deadline_ms * 1'000'000;
+  submit.deadline_ns = MillisToNanos(options.deadline_ms);
 
   LoadGenReport report;
   Collector collector;

@@ -1,6 +1,7 @@
 #include "serve/micro_batcher.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "base/check.h"
 #include "base/fault_injection.h"
@@ -70,14 +71,20 @@ Status MicroBatcher::Admit(PendingRequest* request, int64_t now_ns) {
 
 void MicroBatcher::TakeExpired(int64_t now_ns,
                                std::vector<PendingRequest>* expired) {
-  if (count_ == 0) return;
-  auto first_dead = std::stable_partition(
-      pending_.begin(), pending_.end(),
-      [now_ns](const PendingRequest& r) { return r.deadline_ns > now_ns; });
-  for (auto it = first_dead; it != pending_.end(); ++it) {
-    expired->push_back(std::move(*it));
+  // In-place, order-preserving compaction: live requests slide down,
+  // dead ones move out in FIFO order. No temporary buffer, unlike
+  // std::stable_partition.
+  size_t live = 0;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].deadline_ns <= now_ns) {
+      expired->push_back(std::move(pending_[i]));
+    } else {
+      if (i != live) pending_[live] = std::move(pending_[i]);
+      ++live;
+    }
   }
-  pending_.erase(first_dead, pending_.end());
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(live),
+                 pending_.end());
   count_ = static_cast<int64_t>(pending_.size());
 }
 

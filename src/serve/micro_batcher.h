@@ -86,7 +86,8 @@ class MicroBatcher {
   [[nodiscard]] Status Admit(PendingRequest* request, int64_t now_ns);
 
   /// Moves every queued request whose deadline has passed into
-  /// `*expired` (FIFO order preserved).
+  /// `*expired` (FIFO order preserved on both sides). Allocation-free
+  /// when `expired` has room for the whole queue.
   void TakeExpired(int64_t now_ns, std::vector<PendingRequest>* expired);
 
   /// True when a batch should be taken now (see the flush policy above).

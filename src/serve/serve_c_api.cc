@@ -11,6 +11,7 @@
 
 using dhgcn::DhgcnConfig;
 using dhgcn::InferenceServer;
+using dhgcn::MillisToNanos;
 using dhgcn::Mutex;
 using dhgcn::MutexLock;
 using dhgcn::ServeResponse;
@@ -150,7 +151,7 @@ int dhgcn_serve_infer(dhgcn_serve_server* server, const float* clip,
   std::memcpy(input.data(), clip,
               static_cast<size_t>(clip_len) * sizeof(float));
   SubmitOptions options;
-  options.deadline_ns = deadline_ms > 0 ? deadline_ms * 1'000'000 : 0;
+  options.deadline_ns = deadline_ms > 0 ? MillisToNanos(deadline_ms) : 0;
   ServeResponse response = server->server->Infer(input, options);
   if (!response.status.ok()) {
     SetLastError(server, response.status.ToString());

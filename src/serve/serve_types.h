@@ -2,6 +2,7 @@
 #define DHGCN_SERVE_SERVE_TYPES_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "base/status.h"
@@ -30,6 +31,17 @@ struct ServeResponse {
 /// throw, must not block for long (it runs on the serving hot path), and
 /// must not call back into the server.
 using ServeCompletionFn = void (*)(void* ctx, const ServeResponse& response);
+
+/// Milliseconds to nanoseconds, clamped to the int64 range instead of
+/// overflowing.
+inline int64_t MillisToNanos(int64_t ms) {
+  constexpr int64_t kNanosPerMilli = 1'000'000;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  if (ms > kMax / kNanosPerMilli) return kMax;
+  if (ms < kMin / kNanosPerMilli) return kMin;
+  return ms * kNanosPerMilli;
+}
 
 /// \brief Per-request submission options.
 struct SubmitOptions {

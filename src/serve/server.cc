@@ -2,7 +2,7 @@
 
 // lint: allow-thread-file — see server.h: the serving core is where
 // inter-request concurrency lives; compute still routes through
-// base/thread_pool.h under the compute lease.
+// base/thread_pool.h.
 // lint: allow-wallclock-file — condition-wait timeouts and the
 // fault-injected worker stall are wall-clock by nature (serving-path
 // only; nothing here feeds training state or checkpoints).
@@ -28,6 +28,14 @@ struct SyncWaiter {
   bool done DHGCN_GUARDED_BY(mu) = false;
   ServeResponse response DHGCN_GUARDED_BY(mu);
 };
+
+/// Absolute deadline `relative_ns` (> 0) after `now_ns`, clamped at
+/// INT64_MAX instead of overflowing: a deadline past the end of the
+/// clock never passes.
+int64_t DeadlineAfter(int64_t now_ns, int64_t relative_ns) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  return now_ns > kMax - relative_ns ? kMax : now_ns + relative_ns;
+}
 
 void SyncWaiterDone(void* ctx, const ServeResponse& response) {
   SyncWaiter* waiter = static_cast<SyncWaiter*>(ctx);
@@ -82,9 +90,6 @@ InferenceServer::InferenceServer(
   // Value-initialized (`[]()`) so every heartbeat slot starts at 0/idle.
   worker_busy_since_ = std::make_unique<std::atomic<int64_t>[]>(
       static_cast<size_t>(options_.worker_count));
-  for (int64_t w = 0; w < options_.worker_count; ++w) {
-    workspaces_.push_back(std::make_unique<Workspace>());
-  }
 }
 
 Result<std::unique_ptr<InferenceServer>> InferenceServer::Create(
@@ -142,7 +147,7 @@ Status InferenceServer::Submit(const Tensor& clip,
     int64_t now = clock_->NowNanos();
     request.id = next_request_id_++;
     request.submit_ns = now;
-    request.deadline_ns = now + relative_deadline;
+    request.deadline_ns = DeadlineAfter(now, relative_deadline);
     ++stats_.submitted;
     Status admitted = batcher_.Admit(&request, now);
     if (!admitted.ok()) {
@@ -206,6 +211,7 @@ void InferenceServer::Complete(PendingRequest* request, Status status,
 }
 
 void InferenceServer::WorkerLoop(int64_t worker_index) {
+  Workspace ws;  // this worker's arena, reset per batch
   std::vector<PendingRequest> expired;
   std::vector<PendingRequest> batch;
   expired.reserve(static_cast<size_t>(options_.batcher.queue_capacity));
@@ -251,14 +257,13 @@ void InferenceServer::WorkerLoop(int64_t worker_index) {
       }
       continue;
     }
-    ExecuteBatch(worker_index, &batch);
+    ExecuteBatch(worker_index, ws, &batch);
   }
 }
 
-void InferenceServer::ExecuteBatch(int64_t worker_index,
+void InferenceServer::ExecuteBatch(int64_t worker_index, Workspace& ws,
                                    std::vector<PendingRequest>* batch) {
   FrozenModel& model = *models_[static_cast<size_t>(worker_index)];
-  Workspace& ws = *workspaces_[static_cast<size_t>(worker_index)];
   std::atomic<int64_t>& busy =
       worker_busy_since_[static_cast<size_t>(worker_index)];
   int64_t taken_ns = clock_->NowNanos();
@@ -313,17 +318,7 @@ void InferenceServer::ExecuteBatch(int64_t worker_index,
                 static_cast<size_t>(clip_numel) * sizeof(float));
   }
 
-  Tensor logits;
-  {
-    // Compute lease: the intra-op pool admits one concurrent entrant,
-    // and the kernel scratch arenas (detail::KernelOpScratch /
-    // GemmPackScratch) are process-global — two workers forwarding
-    // concurrently would race on them at any thread count. Workers
-    // still overlap validation, stacking, and completion; only the
-    // forward itself is serialized.
-    MutexLock lease(&compute_mu_);
-    logits = model.Forward(stacked, ws);
-  }
+  Tensor logits = model.Forward(stacked, ws);
   DHGCN_CHECK_EQ(logits.dim(0), b);
   int64_t classes = logits.dim(1);
 

@@ -4,8 +4,7 @@
 // lint: allow-thread-file — the serving core *is* the one place
 // inter-request concurrency lives: worker threads, a request mutex and
 // bounded condition waits. Intra-op parallelism still goes through
-// base/thread_pool.h (forwards take a compute lease when the pool is
-// multi-threaded), so the determinism contract is untouched. All
+// base/thread_pool.h, so the determinism contract is untouched. All
 // condition waits are bounded (`WaitForNanos`), enforced by the
 // repo_lint `serve-wait` rule, and every locking invariant is
 // annotated for Clang's thread-safety analysis (DESIGN.md §13).
@@ -58,7 +57,9 @@ struct ServerOptions {
 /// Concurrent single-clip submissions are coalesced into micro-batches
 /// under a latency-deadline + max-batch-size policy (see MicroBatcher)
 /// and executed by worker threads on per-worker model replicas with
-/// per-worker Workspace arenas. Robustness contract:
+/// per-worker Workspace arenas. Replicas forward concurrently: kernel
+/// scratch belongs to the thread that drives the op, and the intra-op
+/// pool runs a second concurrent caller inline. Robustness contract:
 ///
 ///  - **Backpressure**: admission beyond the bounded queue rejects
 ///    synchronously with kOverloaded — callers see the shed explicitly,
@@ -126,8 +127,9 @@ class InferenceServer {
 
   void WorkerLoop(int64_t worker_index);
   /// Executes one taken micro-batch outside the lock: validates inputs,
-  /// stacks, forwards, splits and completes.
-  void ExecuteBatch(int64_t worker_index,
+  /// stacks into the worker's arena `ws`, forwards, splits and
+  /// completes.
+  void ExecuteBatch(int64_t worker_index, Workspace& ws,
                     std::vector<PendingRequest>* batch);
   void Complete(PendingRequest* request, Status status, Tensor logits,
                 int64_t taken_ns, int64_t batch_size);
@@ -139,12 +141,9 @@ class InferenceServer {
   ServeClock* clock_;
 
   /// Guards the admission queue and every piece of server state the
-  /// submitter, workers and health probes share. Declared
-  /// ACQUIRED_BEFORE the compute lease: whenever both are held, mu_ is
-  /// taken first — with -Wthread-safety-beta an inverted acquisition
-  /// anywhere in the tree is a compile error, which statically rules
-  /// out the mu_/compute_mu_ deadlock class.
-  mutable Mutex mu_ DHGCN_ACQUIRED_BEFORE(compute_mu_);
+  /// submitter, workers and health probes share. Never held during a
+  /// forward: replicas run concurrently.
+  mutable Mutex mu_;
   CondVar work_cv_;
   MicroBatcher batcher_ DHGCN_GUARDED_BY(mu_);
   bool shutting_down_ DHGCN_GUARDED_BY(mu_) = false;
@@ -159,19 +158,10 @@ class InferenceServer {
   /// construction): the watchdog scan walks contiguous memory instead
   /// of chasing one heap pointer per worker.
   std::unique_ptr<std::atomic<int64_t>[]> worker_busy_since_;
-  /// One arena per worker, reset per batch. The vector itself is built
-  /// before the workers start and never resized; each arena is touched
-  /// only by its owning worker.
-  std::vector<std::unique_ptr<Workspace>> workspaces_;
   /// Mutated only in Create() (before any worker runs) and Shutdown()
   /// (after the shutting_down_ handshake stops every loop), so joins
   /// happen outside any lock.
   std::vector<std::thread> workers_;
-  /// Compute lease: serializes model forwards when the intra-op
-  /// ThreadPool has more than one thread (its job slot admits one
-  /// concurrent entrant). Never taken while holding mu_ today — the
-  /// ACQUIRED_BEFORE ordering above keeps any future nesting one-way.
-  Mutex compute_mu_;
 };
 
 }  // namespace dhgcn

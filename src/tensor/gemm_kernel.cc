@@ -299,12 +299,12 @@ void GemmBlockedPackedB(const float* a, const float* bp, float* c, int64_t m,
 }
 
 Workspace& GemmPackScratch() {
-  static Workspace scratch;
+  thread_local Workspace scratch;
   return scratch;
 }
 
 Workspace& KernelOpScratch() {
-  static Workspace scratch;
+  thread_local Workspace scratch;
   return scratch;
 }
 

@@ -67,13 +67,16 @@ void GemmPackTransposed(const float* a, int64_t k, int64_t m, float* at);
 void GemmBlockedPackedB(const float* a, const float* bp, float* c,
                         int64_t m, int64_t k, int64_t n);
 
-/// Process-wide scratch arena for packed GEMM panels. Only the linalg
-/// drivers touch it (acquire on the calling thread before dispatching a
-/// ParallelFor, Reset() when the product is done), so steady state is a
-/// single warm block and zero heap traffic. Not for use inside tasks.
+/// Scratch arena for packed GEMM panels, owned by the calling thread.
+/// Only the linalg drivers touch it (acquire on the driving thread
+/// before dispatching a ParallelFor, Reset() when the product is done),
+/// so steady state is one warm block per driving thread and zero heap
+/// traffic. Threads that drive ops concurrently (serving workers) each
+/// get their own. Not for use inside tasks: a pool worker would get its
+/// own arena, not the driver's.
 Workspace& GemmPackScratch();
 
-/// Process-wide scratch arena for op-level lowering buffers (im2col
+/// Per-thread scratch arena for op-level lowering buffers (im2col
 /// columns, pairwise-distance Gram matrices). Same discipline as
 /// GemmPackScratch: acquire on the driving thread, Reset() at the end of
 /// the op, never let a borrow escape the op that acquired it.

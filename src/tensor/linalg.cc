@@ -110,10 +110,11 @@ void ParallelBlockedRows(const float* a, const float* bp, float* c,
       });
 }
 
-// Blocked core: packs B into panels staged in the process-wide scratch
-// arena (zero owning allocations in steady state), then splits the rows.
-// Must run on the driving thread (the pack scratch is not task-safe),
-// which ParallelFor's no-nesting rule already guarantees.
+// Blocked core: packs B into panels staged in the driving thread's
+// scratch arena (zero owning allocations in steady state), then splits
+// the rows. Must run on the driving thread (a task would reach its own
+// thread's arena), which ParallelFor's no-nesting rule already
+// guarantees.
 void ParallelGemmBlocked(const float* a, const float* b, float* c, int64_t m,
                          int64_t k, int64_t n) {
   Workspace& scratch = detail::GemmPackScratch();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace dhgcn {
 
@@ -64,59 +63,18 @@ struct SubOp {
 struct MulOp {
   float operator()(float x, float y) const { return x * y; }
 };
-struct DivOp {
-  float operator()(float x, float y) const { return x / y; }
-};
-struct MaxOp {
-  float operator()(float x, float y) const { return std::max(x, y); }
-};
-struct MinOp {
-  float operator()(float x, float y) const { return std::min(x, y); }
-};
 
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) { return BinaryOpT(a, b, AddOp{}); }
 Tensor Sub(const Tensor& a, const Tensor& b) { return BinaryOpT(a, b, SubOp{}); }
 Tensor Mul(const Tensor& a, const Tensor& b) { return BinaryOpT(a, b, MulOp{}); }
-Tensor Div(const Tensor& a, const Tensor& b) { return BinaryOpT(a, b, DivOp{}); }
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return BinaryOpT(a, b, MaxOp{});
-}
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return BinaryOpT(a, b, MinOp{});
-}
-
-void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  BinaryOpInto(a, b, AddOp{}, out);
-}
 
 void AddInPlace(Tensor& a, const Tensor& b) {
   DHGCN_CHECK(ShapesEqual(a.shape(), b.shape()));
   float* pa = a.data();
   const float* pb = b.data();
   for (int64_t i = 0; i < a.numel(); ++i) pa[i] += pb[i];
-}
-
-void SubInPlace(Tensor& a, const Tensor& b) {
-  DHGCN_CHECK(ShapesEqual(a.shape(), b.shape()));
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a.numel(); ++i) pa[i] -= pb[i];
-}
-
-void MulInPlace(Tensor& a, const Tensor& b) {
-  DHGCN_CHECK(ShapesEqual(a.shape(), b.shape()));
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a.numel(); ++i) pa[i] *= pb[i];
-}
-
-void Axpy(float alpha, const Tensor& b, Tensor& a) {
-  DHGCN_CHECK(ShapesEqual(a.shape(), b.shape()));
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a.numel(); ++i) pa[i] += alpha * pb[i];
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
@@ -136,20 +94,8 @@ Tensor Neg(const Tensor& a) {
 Tensor Exp(const Tensor& a) {
   return UnaryOpT(a, [](float x) { return std::exp(x); });
 }
-Tensor Log(const Tensor& a) {
-  return UnaryOpT(a, [](float x) { return std::log(x); });
-}
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOpT(a, [](float x) { return std::sqrt(x); });
-}
 Tensor Abs(const Tensor& a) {
   return UnaryOpT(a, [](float x) { return std::fabs(x); });
-}
-Tensor Square(const Tensor& a) {
-  return UnaryOpT(a, [](float x) { return x * x; });
-}
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  return UnaryOpT(a, [lo, hi](float x) { return std::clamp(x, lo, hi); });
 }
 
 void ExpInto(const Tensor& a, Tensor* out) {
@@ -163,22 +109,10 @@ float SumAll(const Tensor& a) {
   return static_cast<float>(total);
 }
 
-float MeanAll(const Tensor& a) {
-  DHGCN_CHECK_GT(a.numel(), 0);
-  return SumAll(a) / static_cast<float>(a.numel());
-}
-
 float MaxAll(const Tensor& a) {
   DHGCN_CHECK_GT(a.numel(), 0);
   float best = a.flat(0);
   for (int64_t i = 1; i < a.numel(); ++i) best = std::max(best, a.flat(i));
-  return best;
-}
-
-float MinAll(const Tensor& a) {
-  DHGCN_CHECK_GT(a.numel(), 0);
-  float best = a.flat(0);
-  for (int64_t i = 1; i < a.numel(); ++i) best = std::min(best, a.flat(i));
   return best;
 }
 
@@ -275,14 +209,6 @@ Tensor ReduceMean(const Tensor& a, int64_t axis, bool keepdim) {
       [](double acc, int64_t n) {
         return static_cast<float>(acc / static_cast<double>(n));
       });
-}
-
-Tensor ReduceMax(const Tensor& a, int64_t axis, bool keepdim) {
-  return ReduceAxis(
-      a, axis, keepdim,
-      [] { return -std::numeric_limits<float>::infinity(); },
-      [](float acc, float x) { return std::max(acc, x); },
-      [](float acc, int64_t) { return acc; });
 }
 
 Tensor ArgMax(const Tensor& a, int64_t axis) {

@@ -15,9 +15,9 @@ namespace dhgcn {
 // errors and abort via DHGCN_CHECK; model entry points validate user input
 // with Status before reaching these kernels.
 //
-// Each op comes in three flavors:
+// Ops come in up to three flavors:
 //  - allocating (`Add(a, b)`) — returns a fresh owning tensor;
-//  - out-parameter (`AddInto(a, b, &out)`) — writes into caller storage
+//  - out-parameter (`ExpInto(a, &out)`) — writes into caller storage
 //    (typically workspace-borrowed), allocation-free;
 //  - templated (`BinaryOpT(a, b, functor)` / `BinaryOpInto(...)`) — the
 //    underlying kernels, statically dispatched so the per-element call
@@ -112,19 +112,9 @@ Tensor UnaryOpT(const Tensor& a, Op op) {
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
-Tensor Maximum(const Tensor& a, const Tensor& b);
-Tensor Minimum(const Tensor& a, const Tensor& b);
-
-// Out-parameter variants (see contract above).
-void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
 
 // In-place (no broadcasting; shapes must match exactly).
 void AddInPlace(Tensor& a, const Tensor& b);
-void SubInPlace(Tensor& a, const Tensor& b);
-void MulInPlace(Tensor& a, const Tensor& b);
-/// a += alpha * b (shapes must match).
-void Axpy(float alpha, const Tensor& b, Tensor& a);
 
 // Scalar variants.
 Tensor AddScalar(const Tensor& a, float s);
@@ -137,11 +127,7 @@ void MulScalarInPlace(Tensor& a, float s);
 
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
-Tensor Square(const Tensor& a);
-Tensor Clamp(const Tensor& a, float lo, float hi);
 
 void ExpInto(const Tensor& a, Tensor* out);
 
@@ -150,14 +136,11 @@ void ExpInto(const Tensor& a, Tensor* out);
 // ---------------------------------------------------------------------------
 
 float SumAll(const Tensor& a);
-float MeanAll(const Tensor& a);
 float MaxAll(const Tensor& a);
-float MinAll(const Tensor& a);
 
 /// Sum over `axis`; `keepdim` keeps a size-1 axis in the output shape.
 Tensor ReduceSum(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor ReduceMean(const Tensor& a, int64_t axis, bool keepdim = false);
-Tensor ReduceMax(const Tensor& a, int64_t axis, bool keepdim = false);
 
 /// Sum over `axis` into `*out`, which must have the reduced shape.
 void ReduceSumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out);

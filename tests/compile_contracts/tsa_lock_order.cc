@@ -1,8 +1,8 @@
 // Negative fixture: MUST NOT compile under
 // `-Wthread-safety -Wthread-safety-beta -Werror` (registered with
 // WILL_FAIL in CTest). Acquires two mutexes against their declared
-// DHGCN_ACQUIRED_BEFORE order — the static form of the lock-order
-// inversion that guards InferenceServer's mu_ -> compute_mu_ ordering.
+// DHGCN_ACQUIRED_BEFORE order — the static form of a lock-order
+// inversion, which any code that nests two mutexes would declare.
 // Note the -beta flag is what enables the ordering checks; if this
 // fixture compiles, lock-order verification has silently turned off.
 #include "base/thread_annotations.h"

@@ -131,6 +131,30 @@ TEST_F(MicroBatcherTest, TakeExpiredDrainsOnlyDeadRequests) {
   EXPECT_EQ(batcher.size(), 1);
 }
 
+TEST_F(MicroBatcherTest, TakeExpiredKeepsFifoOrderOnBothSides) {
+  MicroBatcher batcher(TestOptions());
+  // Interleaved: dead, live, dead, live.
+  for (int64_t id = 1; id <= 4; ++id) {
+    int64_t deadline = id % 2 == 1 ? 5 * kMs : 50 * kMs;
+    PendingRequest r = MakeRequest(id, 0, deadline);
+    ASSERT_TRUE(batcher.Admit(&r, 0).ok());
+  }
+  std::vector<PendingRequest> expired;
+  expired.reserve(8);
+  batcher.TakeExpired(5 * kMs + 1, &expired);
+  ASSERT_EQ(expired.size(), 2u);
+  EXPECT_EQ(expired[0].id, 1);
+  EXPECT_EQ(expired[1].id, 3);
+  EXPECT_EQ(batcher.size(), 2);
+
+  std::vector<PendingRequest> batch;
+  batcher.TakeBatch(&batch);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].id, 2);
+  EXPECT_EQ(batch[1].id, 4);
+  EXPECT_TRUE(batcher.empty());
+}
+
 TEST_F(MicroBatcherTest, ShedsWithOverloadedWhenFull) {
   MicroBatcherOptions options = TestOptions();
   options.queue_capacity = 2;

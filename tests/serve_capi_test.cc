@@ -87,6 +87,23 @@ TEST(ServeCApiTest, InferMatchesCppServer) {
   EXPECT_EQ(health, DHGCN_SERVE_HEALTH_READY);
 }
 
+TEST(ServeCApiTest, HugeDeadlineSaturatesInsteadOfOverflowing) {
+  char err[256] = {0};
+  dhgcn_serve_server* server = dhgcn_serve_open(
+      nullptr, "tiny", "ntu", 4, kFrames, 1, 0, 0, err, sizeof(err));
+  ASSERT_NE(server, nullptr) << err;
+  int64_t clip_len = dhgcn_serve_clip_len(server);
+  int64_t classes = dhgcn_serve_num_classes(server);
+  std::vector<float> clip(static_cast<size_t>(clip_len), 0.5f);
+  std::vector<float> logits(static_cast<size_t>(classes), 0.0f);
+  int rc = dhgcn_serve_infer(server, clip.data(), clip_len,
+                             std::numeric_limits<int64_t>::max(),
+                             logits.data(), classes);
+  std::string error = dhgcn_serve_last_error(server);
+  dhgcn_serve_close(server);
+  EXPECT_EQ(rc, DHGCN_SERVE_OK) << error;
+}
+
 TEST(ServeCApiTest, ClassifiesErrorsAcrossTheBoundary) {
   char err[256] = {0};
   dhgcn_serve_server* server = dhgcn_serve_open(

@@ -1,7 +1,8 @@
 // End-to-end tests for the fault-tolerant serving core: correctness
 // against a direct forward pass, batch transparency, poison isolation,
 // deadline expiry, degradation/recovery, watchdog health, drain on
-// shutdown, and a multi-client stress run (the TSan target).
+// shutdown, concurrent replicas against direct forwards, and a
+// multi-client stress run (the TSan targets).
 //
 // lint: allow-thread-file — the stress test spawns client threads and
 // the expiry tests sleep on real time; serving is the reviewed
@@ -13,12 +14,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <limits>
 #include <thread>
 #include <vector>
 
 #include "base/fault_injection.h"
 #include "base/rng.h"
+#include "base/thread_pool.h"
 #include "nn/layer.h"
 #include "serve/clock.h"
 #include "tensor/workspace.h"
@@ -95,6 +98,17 @@ TEST_F(ServeServerTest, InferMatchesDirectForward) {
   for (int64_t c = 0; c < served.num_classes(); ++c) {
     EXPECT_EQ(response.logits.flat(c), expected.flat(c)) << "class " << c;
   }
+}
+
+TEST_F(ServeServerTest, HugeDeadlineSaturatesInsteadOfOverflowing) {
+  auto server =
+      InferenceServer::Create("", TestConfig(), kFrames, TestOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  SubmitOptions submit;
+  submit.deadline_ns = std::numeric_limits<int64_t>::max();
+  ServeResponse response =
+      (*server)->Infer(MakeClip((*server)->model(), 4), submit);
+  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
 }
 
 TEST_F(ServeServerTest, BatchedForwardIsTransparent) {
@@ -380,6 +394,82 @@ TEST_F(ServeServerTest, MultiClientStressCompletesEveryRequest) {
   EXPECT_GE(stats.completed_ok + stats.invalid_input + stats.expired,
             stats.admitted);
   (*server)->Shutdown();
+}
+
+// Two workers forward concurrently on their own replicas, with no lock
+// around the forward: kernel scratch belongs to each worker's thread and
+// the intra-op pool runs a second concurrent caller inline. Every
+// answer must still be memcmp-equal to a direct batch-1 forward of its
+// clip. A TSan target: a kernel scratch arena shared between the
+// workers would race here.
+void ExpectConcurrentReplicasMatchDirectForward(PlanMode plan) {
+  DhgcnConfig config = TestConfig();
+  auto reference = FrozenModel::Load("", config, kFrames, plan);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 8;
+  std::vector<Tensor> clips;
+  std::vector<Tensor> expected;
+  Workspace ws;
+  for (int i = 0; i < kClients * kPerClient; ++i) {
+    Tensor clip = MakeClip(**reference, static_cast<uint64_t>(200 + i));
+    Tensor batch({1, config.in_channels, kFrames,
+                  (*reference)->num_joints()});
+    std::memcpy(batch.data(), clip.data(),
+                static_cast<size_t>(clip.numel()) * sizeof(float));
+    ws.Reset();
+    expected.push_back((*reference)->Forward(batch, ws).Clone());
+    clips.push_back(std::move(clip));
+  }
+
+  ServerOptions options = TestOptions();
+  options.worker_count = 2;
+  options.plan_mode = plan;
+  auto server = InferenceServer::Create("", config, kFrames, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  // A multi-thread pool: one worker's forward publishes pool jobs while
+  // the other's runs inline.
+  const int64_t previous_threads = ThreadPool::Get().thread_count();
+  ThreadPool::Get().SetThreads(2);
+  SubmitOptions submit;
+  submit.deadline_ns = 60'000 * kMs;  // answers, not expiries, are tested
+  std::atomic<int> ok{0}, mismatched{0}, failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = c * kPerClient; i < (c + 1) * kPerClient; ++i) {
+        ServeResponse response =
+            (*server)->Infer(clips[static_cast<size_t>(i)], submit);
+        if (!response.status.ok()) {
+          ++failed;
+          continue;
+        }
+        ++ok;
+        const Tensor& want = expected[static_cast<size_t>(i)];
+        if (response.logits.numel() != want.numel() ||
+            std::memcmp(response.logits.data(), want.data(),
+                        static_cast<size_t>(want.numel()) *
+                            sizeof(float)) != 0) {
+          ++mismatched;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  (*server)->Shutdown();
+  ThreadPool::Get().SetThreads(previous_threads);
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(ok.load(), kClients * kPerClient);
+  EXPECT_EQ(mismatched.load(), 0);
+}
+
+TEST_F(ServeServerTest, ConcurrentReplicasMatchDirectForwardLayerwise) {
+  ExpectConcurrentReplicasMatchDirectForward(PlanMode::kOff);
+}
+
+TEST_F(ServeServerTest, ConcurrentReplicasMatchDirectForwardFusedPlan) {
+  ExpectConcurrentReplicasMatchDirectForward(PlanMode::kFused);
 }
 
 }  // namespace

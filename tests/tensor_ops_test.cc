@@ -1,6 +1,6 @@
 #include "tensor/tensor_ops.h"
 
-#include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "gtest/gtest.h"
@@ -82,13 +82,10 @@ TEST(ElementwiseTest, MulBroadcastColumnVector) {
   EXPECT_FLOAT_EQ(c.at(1, 0), 12.0f);
 }
 
-TEST(ElementwiseTest, SubDivMaxMin) {
+TEST(ElementwiseTest, SubSameShape) {
   Tensor a = Tensor::FromList({4, 9});
   Tensor b = Tensor::FromList({2, 3});
   EXPECT_FLOAT_EQ(Sub(a, b).flat(1), 6.0f);
-  EXPECT_FLOAT_EQ(Div(a, b).flat(1), 3.0f);
-  EXPECT_FLOAT_EQ(Maximum(a, b).flat(0), 4.0f);
-  EXPECT_FLOAT_EQ(Minimum(a, b).flat(0), 2.0f);
 }
 
 TEST(ElementwiseTest, ScalarBroadcastBothWays) {
@@ -104,14 +101,8 @@ TEST(ElementwiseTest, InPlaceVariants) {
   Tensor b = Tensor::Ones({3});
   AddInPlace(a, b);
   EXPECT_FLOAT_EQ(a.flat(0), 2.0f);
-  SubInPlace(a, b);
-  EXPECT_FLOAT_EQ(a.flat(0), 1.0f);
-  MulInPlace(a, a);
-  EXPECT_FLOAT_EQ(a.flat(2), 9.0f);
-  Axpy(0.5f, b, a);
-  EXPECT_FLOAT_EQ(a.flat(0), 1.5f);
   MulScalarInPlace(a, 2.0f);
-  EXPECT_FLOAT_EQ(a.flat(0), 3.0f);
+  EXPECT_FLOAT_EQ(a.flat(0), 4.0f);
 }
 
 TEST(ElementwiseTest, ScalarHelpers) {
@@ -122,24 +113,17 @@ TEST(ElementwiseTest, ScalarHelpers) {
 
 TEST(UnaryTest, MathFunctions) {
   Tensor a = Tensor::FromList({1.0f, 4.0f});
-  EXPECT_FLOAT_EQ(Sqrt(a).flat(1), 2.0f);
   EXPECT_FLOAT_EQ(Exp(Tensor::Scalar(0.0f)).flat(0), 1.0f);
-  EXPECT_NEAR(Log(Tensor::Scalar(std::exp(2.0f))).flat(0), 2.0f, 1e-5f);
   EXPECT_FLOAT_EQ(Neg(a).flat(0), -1.0f);
   EXPECT_FLOAT_EQ(Abs(Tensor::FromList({-3})).flat(0), 3.0f);
-  EXPECT_FLOAT_EQ(Square(a).flat(1), 16.0f);
-  EXPECT_FLOAT_EQ(Clamp(Tensor::FromList({-5, 0.5f, 5}), -1, 1).flat(0),
-                  -1.0f);
 }
 
 // --- Reductions ---------------------------------------------------------------
 
-TEST(ReduceTest, SumAllMeanAllMaxMin) {
+TEST(ReduceTest, SumAllMaxAll) {
   Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   EXPECT_FLOAT_EQ(SumAll(a), 10.0f);
-  EXPECT_FLOAT_EQ(MeanAll(a), 2.5f);
   EXPECT_FLOAT_EQ(MaxAll(a), 4.0f);
-  EXPECT_FLOAT_EQ(MinAll(a), 1.0f);
 }
 
 TEST(ReduceTest, ReduceSumAxis0) {
@@ -166,11 +150,11 @@ TEST(ReduceTest, ReduceMeanMiddleAxis) {
   EXPECT_FLOAT_EQ(m.at(1, 1), 7.0f);  // (6+8)/2
 }
 
-TEST(ReduceTest, ReduceMaxNegativeAxis) {
+TEST(ReduceTest, ReduceSumNegativeAxis) {
   Tensor a = Tensor::FromVector({2, 3}, {1, 9, 3, 4, 5, 6});
-  Tensor m = ReduceMax(a, -1);
-  EXPECT_FLOAT_EQ(m.flat(0), 9.0f);
-  EXPECT_FLOAT_EQ(m.flat(1), 6.0f);
+  Tensor s = ReduceSum(a, -1);
+  EXPECT_FLOAT_EQ(s.flat(0), 13.0f);
+  EXPECT_FLOAT_EQ(s.flat(1), 15.0f);
 }
 
 TEST(ReduceTest, ArgMaxBreaksTiesLow) {

@@ -1,13 +1,15 @@
 // Lifecycle and contract tests for the intra-op ThreadPool: static
 // contiguous partitioning, serial fallback, reconfiguration, reduction
-// determinism, and rejection of nested parallel regions. Also the
-// binary the ThreadSanitizer CI job runs to prove the pool's
-// synchronization protocol is race-free.
+// determinism, rejection of nested parallel regions, and concurrent
+// callers. Also the binary the ThreadSanitizer CI job runs to prove the
+// pool's synchronization protocol is race-free.
 
 #include "base/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -221,6 +223,55 @@ TEST(ThreadPool, ManyConsecutiveJobs) {
     });
     ASSERT_EQ(sum.load(), 32 * 31 / 2 + 32 * round) << "round " << round;
   }
+}
+
+TEST(ThreadPool, ConcurrentCallersRunInlineAndStayExact) {
+  // Two threads drive one 4-thread pool at once. Whichever finds the
+  // other's job in flight runs its chunks inline, so neither waits on
+  // the other: every call must still cover its range exactly once and
+  // reduce to the serial bits.
+  const int64_t range = 97;
+  auto term = [](int64_t i) {
+    return (i % 2 == 0 ? 1.0e16 : 1.0) / static_cast<double>(i + 1);
+  };
+  auto reduce = [&] {
+    return ThreadPool::Get().ParallelReduceSum(
+        0, 1000, 1, [&](int64_t b, int64_t e) {
+          double t = 0.0;
+          for (int64_t i = b; i < e; ++i) t += term(i);
+          return t;
+        });
+  };
+  double serial = 0.0;
+  {
+    ThreadPoolGuard serial_pool(1);
+    serial = reduce();
+  }
+  ThreadPoolGuard pool(4);
+  std::atomic<int64_t> bad_cover{0};
+  std::atomic<int64_t> bad_sum{0};
+  auto drive = [&] {
+    std::vector<int64_t> hits(range);
+    int64_t* phits = hits.data();
+    for (int64_t round = 0; round < 300; ++round) {
+      std::fill(hits.begin(), hits.end(), 0);
+      ThreadPool::Get().ParallelFor(0, range, /*grain=*/3,
+                                    [&](int64_t b, int64_t e) {
+                                      for (int64_t i = b; i < e; ++i) {
+                                        ++phits[i];
+                                      }
+                                    });
+      for (int64_t hit : hits) {
+        if (hit != 1) bad_cover.fetch_add(1);
+      }
+      if (reduce() != serial) bad_sum.fetch_add(1);
+    }
+  };
+  std::thread other(drive);  // lint: allow-thread — the second caller
+  drive();
+  other.join();
+  EXPECT_EQ(bad_cover.load(), 0);
+  EXPECT_EQ(bad_sum.load(), 0);
 }
 
 }  // namespace

@@ -168,7 +168,7 @@ Status RunMain(int argc, const char* const* argv) {
   options.precision = rt.resolved_precision;
   options.batcher.queue_capacity = queue_capacity;
   options.batcher.max_batch_size = max_batch;
-  options.default_deadline_ns = deadline_ms * 1'000'000;
+  options.default_deadline_ns = MillisToNanos(deadline_ms);
   DHGCN_ASSIGN_OR_RETURN(
       std::unique_ptr<InferenceServer> server,
       InferenceServer::Create(checkpoint_path, config, frames, options));
