@@ -28,8 +28,8 @@ enum class FaultSite : int {
                           ///< executing its batch (watchdog / backpressure)
   kServeDeadlineMiss,     ///< serving: the dequeued micro-batch is treated
                           ///< as having missed its deadline
-  kServePoisonInput,      ///< serving: poison one admitted clip with NaN
-                          ///< (per-request validation must fail it alone)
+  kServePoisonInput,      ///< serving: poison one submitted clip with NaN
+                          ///< (admission must reject it alone)
   kSiteCount,             // sentinel, keep last
 };
 

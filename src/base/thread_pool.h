@@ -184,6 +184,11 @@ class ThreadPool {
   std::atomic<int64_t> remaining_chunks_{0};
 };
 
+/// Frames per chunk of the kernels that run a call's N·T frames in
+/// parallel (dynamic topology, DynamicVertexMix): a constant, so the
+/// chunking never depends on the thread count.
+inline constexpr int64_t kFramesPerChunk = 16;
+
 /// Grain (units per chunk) targeting `target_flops` multiply-accumulates
 /// per ParallelFor chunk, given the per-unit cost. Depends only on the
 /// workload shape — never on the pool size — so chunk boundaries stay

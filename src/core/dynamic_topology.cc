@@ -15,10 +15,6 @@ namespace dhgcn {
 
 namespace {
 
-// Frames per ParallelFor chunk: a constant, so the chunking never
-// depends on the thread count.
-constexpr int64_t kFramesPerChunk = 16;
-
 void CheckOptions(const DynamicTopologyOptions& options, int64_t v) {
   DHGCN_CHECK(options.kn >= 1 && options.kn <= v);
   DHGCN_CHECK(options.km >= 1 && options.km <= v);

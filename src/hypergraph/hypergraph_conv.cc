@@ -10,6 +10,7 @@
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "plan/plan_builder.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 
@@ -17,20 +18,38 @@ namespace dhgcn {
 
 namespace {
 
-// CSR scratch for WeightedIncidenceOperator and the per-frame
-// DynamicVertexMix route, owned by the calling thread (capacity reused
-// across calls). Each use builds and consumes it within one call on the
-// driving thread, so threads that drive ops concurrently never share
-// it, same as the GEMM packing scratch.
+// CSR scratch for WeightedIncidenceOperator, owned by the calling
+// thread (capacity reused across calls). Each use builds and consumes
+// it within one call on the driving thread, so threads that drive ops
+// concurrently never share it, same as the GEMM packing scratch.
 CsrMatrix& IncidenceCsrScratch() {
   thread_local CsrMatrix scratch(1, 1);
   return scratch;
 }
 
-void LogRoute(const char* what, double density, bool routed) {
-  DHGCN_LOG(kDebug) << "sparse-route: " << what << " density=" << density
-                    << " crossover=" << kSparseDensityCrossover << " -> "
-                    << (routed ? "csr" : "dense");
+// One direction of the vertex-mixing kernel (tensor/gemm_kernel.h).
+using MixFn = void (*)(const float* m, const float* in, float* out,
+                       int64_t v, int64_t rows, int64_t ld, float* packed);
+
+// Applies ops[f] (v, v) to the c rows of frame f of (n, c, t, v) `in`,
+// frames in parallel; each chunk packs into its own scratch slice.
+void MixFrames(MixFn mix, const float* ops, int64_t n, int64_t c, int64_t t,
+               int64_t v, const float* in, float* out) {
+  const int64_t frames = n * t;
+  const int64_t count = detail::MixPackedCount(v);
+  Workspace& scratch = detail::KernelOpScratch();
+  Tensor packed = scratch.Acquire(
+      {(frames + kFramesPerChunk - 1) / kFramesPerChunk, count});
+  float* pp = packed.data();
+  ThreadPool::Get().ParallelFor(
+      0, frames, kFramesPerChunk, [&](int64_t f0, int64_t f1) {
+        float* slice = pp + f0 / kFramesPerChunk * count;
+        for (int64_t f = f0; f < f1; ++f) {
+          const int64_t row0 = (f / t * c * t + f % t) * v;
+          mix(ops + f * v * v, in + row0, out + row0, v, c, t * v, slice);
+        }
+      });
+  scratch.Reset();
 }
 
 }  // namespace
@@ -116,7 +135,9 @@ VertexMix::VertexMix(Tensor op) : op_(std::move(op)) {
   DHGCN_CHECK_EQ(op_.dim(0), op_.dim(1));
   double density = MeasureDensity(op_);
   routed_ = ShouldRouteSparse(density);
-  LogRoute("VertexMix", density, routed_);
+  DHGCN_LOG(kDebug) << "sparse-route: VertexMix density=" << density
+                    << " crossover=" << kSparseDensityCrossover << " -> "
+                    << (routed_ ? "csr" : "dense");
   if (routed_) op_csr_.AssignFromDense(op_);
 }
 
@@ -134,30 +155,16 @@ void VertexMix::MixPlan(const Tensor& input, Tensor* out) const {
   DHGCN_CHECK_EQ(input.dim(3), op_.dim(0));
   DHGCN_CHECK(ShapesEqual(out->shape(), input.shape()));
   if (routed_) {
-    // Same ascending-u double dots as below, zeros skipped (exact
-    // no-ops) — bit-identical, ThreadPool-parallel over leading rows.
+    // Same ascending-u double dots as the dense kernel, zeros skipped
+    // (exact no-ops) — bit-identical, ThreadPool-parallel over leading
+    // rows.
     SparseMixInto(op_csr_, input, out);
     return;
   }
-  int64_t n = input.dim(0), c = input.dim(1), t = input.dim(2),
-          v = input.dim(3);
-  const float* px = input.data();
-  const float* pm = op_.data();
-  float* po = out->data();
-  int64_t rows = n * c * t;
-  // Y_row[v'] = sum_u M[v',u] X_row[u]  ==  X_row * M^T.
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xrow = px + r * v;
-    float* orow = po + r * v;
-    for (int64_t vi = 0; vi < v; ++vi) {
-      const float* mrow = pm + vi * v;
-      double acc = 0.0;
-      for (int64_t u = 0; u < v; ++u) {
-        acc += static_cast<double>(mrow[u]) * xrow[u];
-      }
-      orow[vi] = static_cast<float>(acc);
-    }
-  }
+  // One frame holding every row: the operator is packed once.
+  const int64_t v = input.dim(3);
+  MixFrames(&detail::MixForward, op_.data(), 1, input.numel() / v, 1, v,
+            input.data(), out->data());
 }
 
 int64_t VertexMix::Record(PlanBuilder& builder, int64_t in) {
@@ -185,29 +192,18 @@ int64_t VertexMix::Record(PlanBuilder& builder, int64_t in) {
 Tensor VertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   const Tensor& input = cached_input_;
   DHGCN_CHECK(ShapesEqual(grad_output.shape(), input.shape()));
-  int64_t v = input.dim(3);
-  int64_t rows = input.numel() / v;
-  Tensor grad_input = NewZeroedTensor(ws, input.shape());
+  const int64_t v = input.dim(3);
   if (routed_) {
-    // Same float scatter order as the dense loop below (vi ascending,
-    // zero grads skipped, zero operator entries exact no-op adds) —
+    // Same float scatter order as the dense kernel (vi ascending, zero
+    // grads skipped, zero operator entries exact no-op adds) —
     // bit-identical, parallel over leading rows.
+    Tensor grad_input = NewZeroedTensor(ws, input.shape());
     SparseMixBackwardInto(op_csr_, grad_output, &grad_input);
     return grad_input;
   }
-  const float* pg = grad_output.data();
-  const float* pm = op_.data();
-  float* pgi = grad_input.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* grow = pg + r * v;
-    float* girow = pgi + r * v;
-    for (int64_t vi = 0; vi < v; ++vi) {
-      float g = grow[vi];
-      if (g == 0.0f) continue;
-      const float* mrow = pm + vi * v;
-      for (int64_t u = 0; u < v; ++u) girow[u] += g * mrow[u];
-    }
-  }
+  Tensor grad_input = NewTensor(ws, input.shape());
+  MixFrames(&detail::MixBackward, op_.data(), 1, input.numel() / v, 1, v,
+            grad_output.data(), grad_input.data());
   return grad_input;
 }
 
@@ -238,65 +234,8 @@ void DynamicVertexMix::MixPlan(const Tensor& input, const Tensor& ops,
   DHGCN_CHECK_EQ(ops.dim(2), v);
   DHGCN_CHECK_EQ(ops.dim(3), v);
   DHGCN_CHECK(ShapesEqual(out->shape(), input.shape()));
-  const float* px = input.data();
-  const float* pops = ops.data();
-  float* po = out->data();
-  // The operators are data-dependent, so the density probe runs per
-  // call — an O(N·T·V²) scan, a factor C cheaper than the mix itself.
-  double density = MeasureDensity(ops);
-  bool routed = ShouldRouteSparse(density);
-  // First decision only: the dynamic-topology loop would otherwise emit
-  // thousands of identical lines per step.
-  if (!std::exchange(route_logged_, true)) {
-    LogRoute("DynamicVertexMix", density, routed);
-  }
-  if (routed) {
-    // One CSR compression per frame, reused across the C channels;
-    // channels write disjoint output rows, so the per-frame channel
-    // loop parallelizes without changing any accumulation order.
-    CsrMatrix& frame_csr = IncidenceCsrScratch();
-    for (int64_t b = 0; b < n; ++b) {
-      for (int64_t tt = 0; tt < t; ++tt) {
-        frame_csr.AssignFromDense(pops + (b * t + tt) * v * v, v, v);
-        const int64_t* row_ptr = frame_csr.row_ptr().data();
-        const int64_t* col_idx = frame_csr.col_idx().data();
-        const float* values = frame_csr.values().data();
-        ThreadPool::Get().ParallelFor(
-            0, c, GrainForFlops(frame_csr.nnz() + 1),
-            [&](int64_t ch_begin, int64_t ch_end) {
-              for (int64_t ch = ch_begin; ch < ch_end; ++ch) {
-                const float* xrow = px + ((b * c + ch) * t + tt) * v;
-                float* orow = po + ((b * c + ch) * t + tt) * v;
-                for (int64_t vi = 0; vi < v; ++vi) {
-                  double acc = 0.0;
-                  for (int64_t k = row_ptr[vi]; k < row_ptr[vi + 1]; ++k) {
-                    acc += static_cast<double>(values[k]) * xrow[col_idx[k]];
-                  }
-                  orow[vi] = static_cast<float>(acc);
-                }
-              }
-            });
-      }
-    }
-    return;
-  }
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t tt = 0; tt < t; ++tt) {
-      const float* m = pops + (b * t + tt) * v * v;
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* xrow = px + ((b * c + ch) * t + tt) * v;
-        float* orow = po + ((b * c + ch) * t + tt) * v;
-        for (int64_t vi = 0; vi < v; ++vi) {
-          const float* mrow = m + vi * v;
-          double acc = 0.0;
-          for (int64_t u = 0; u < v; ++u) {
-            acc += static_cast<double>(mrow[u]) * xrow[u];
-          }
-          orow[vi] = static_cast<float>(acc);
-        }
-      }
-    }
-  }
+  MixFrames(&detail::MixForward, ops.data(), n, c, t, v, input.data(),
+            out->data());
 }
 
 Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
@@ -304,55 +243,9 @@ Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) 
   int64_t n = grad_output.dim(0), c = grad_output.dim(1),
           t = grad_output.dim(2), v = grad_output.dim(3);
   DHGCN_CHECK(ShapesEqual(Shape{n, t, v, v}, ops_.shape()));
-  Tensor grad_input = NewZeroedTensor(ws, grad_output.shape());
-  const float* pg = grad_output.data();
-  const float* pops = ops_.data();
-  float* pgi = grad_input.data();
-  if (ShouldRouteSparse(MeasureDensity(ops_))) {
-    // Same float scatter order as the dense loop below; channels own
-    // disjoint grad rows, so the channel loop parallelizes.
-    CsrMatrix& frame_csr = IncidenceCsrScratch();
-    for (int64_t b = 0; b < n; ++b) {
-      for (int64_t tt = 0; tt < t; ++tt) {
-        frame_csr.AssignFromDense(pops + (b * t + tt) * v * v, v, v);
-        const int64_t* row_ptr = frame_csr.row_ptr().data();
-        const int64_t* col_idx = frame_csr.col_idx().data();
-        const float* values = frame_csr.values().data();
-        ThreadPool::Get().ParallelFor(
-            0, c, GrainForFlops(frame_csr.nnz() + 1),
-            [&](int64_t ch_begin, int64_t ch_end) {
-              for (int64_t ch = ch_begin; ch < ch_end; ++ch) {
-                const float* grow = pg + ((b * c + ch) * t + tt) * v;
-                float* girow = pgi + ((b * c + ch) * t + tt) * v;
-                for (int64_t vi = 0; vi < v; ++vi) {
-                  const float g = grow[vi];
-                  if (g == 0.0f) continue;
-                  for (int64_t k = row_ptr[vi]; k < row_ptr[vi + 1]; ++k) {
-                    girow[col_idx[k]] += g * values[k];
-                  }
-                }
-              }
-            });
-      }
-    }
-    return grad_input;
-  }
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t tt = 0; tt < t; ++tt) {
-      const float* m = pops + (b * t + tt) * v * v;
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* grow = pg + ((b * c + ch) * t + tt) * v;
-        float* girow = pgi + ((b * c + ch) * t + tt) * v;
-        // dX[u] = sum_v M[v,u] dY[v].
-        for (int64_t vi = 0; vi < v; ++vi) {
-          float g = grow[vi];
-          if (g == 0.0f) continue;
-          const float* mrow = m + vi * v;
-          for (int64_t u = 0; u < v; ++u) girow[u] += g * mrow[u];
-        }
-      }
-    }
-  }
+  Tensor grad_input = NewTensor(ws, grad_output.shape());
+  MixFrames(&detail::MixBackward, ops_.data(), n, c, t, v,
+            grad_output.data(), grad_input.data());
   return grad_input;
 }
 

@@ -52,7 +52,7 @@ Tensor WeightedIncidenceOperator(const Tensor& imp,
 /// update. The operator is fixed structure, so its density is measured
 /// once at construction: an operator at or below the CSR crossover runs
 /// the CSR kernels, a denser one (PB-HGCN's part operators) the dense
-/// loops. Both produce the same bits.
+/// mix kernel (tensor/gemm_kernel.h). Both produce the same bits.
 class VertexMix : public Layer {
  public:
   explicit VertexMix(Tensor op);
@@ -83,7 +83,9 @@ class VertexMix : public Layer {
 ///
 /// The operators are data-dependent structure (dynamic joint weight /
 /// dynamic topology) and are treated as constants in backward, exactly as
-/// the non-differentiable K-NN / K-means selection requires.
+/// the non-differentiable K-NN / K-means selection requires. Both passes
+/// run the N·T frames in parallel through the dense mix kernel, with no
+/// density probe.
 class DynamicVertexMix : public Layer {
  public:
   DynamicVertexMix() = default;
@@ -106,7 +108,6 @@ class DynamicVertexMix : public Layer {
   Tensor BackwardImpl(const Tensor& grad_output, Workspace* ws) override;
 
   Tensor ops_;  // (N, T, V, V)
-  mutable bool route_logged_ = false;
 };
 
 }  // namespace dhgcn

@@ -86,7 +86,8 @@ LoadGenReport RunLoad(InferenceServer& server,
   const int64_t gap_ns =
       static_cast<int64_t>(std::llround(1e9 / options.qps));
   const int64_t start_ns = clock.NowNanos();
-  const int64_t end_ns = start_ns + options.duration_ms * 1'000'000;
+  const int64_t end_ns =
+      DeadlineAfter(start_ns, MillisToNanos(options.duration_ms));
 
   int64_t sent = 0;
   int64_t shed = 0;

@@ -43,6 +43,14 @@ inline int64_t MillisToNanos(int64_t ms) {
   return ms * kNanosPerMilli;
 }
 
+/// Absolute time `relative_ns` (> 0) after `now_ns`, clamped at
+/// INT64_MAX instead of overflowing: a deadline past the end of the
+/// clock never passes.
+inline int64_t DeadlineAfter(int64_t now_ns, int64_t relative_ns) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  return now_ns > kMax - relative_ns ? kMax : now_ns + relative_ns;
+}
+
 /// \brief Per-request submission options.
 struct SubmitOptions {
   /// Relative deadline for this request; 0 picks the server default.

@@ -29,14 +29,6 @@ struct SyncWaiter {
   ServeResponse response DHGCN_GUARDED_BY(mu);
 };
 
-/// Absolute deadline `relative_ns` (> 0) after `now_ns`, clamped at
-/// INT64_MAX instead of overflowing: a deadline past the end of the
-/// clock never passes.
-int64_t DeadlineAfter(int64_t now_ns, int64_t relative_ns) {
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  return now_ns > kMax - relative_ns ? kMax : now_ns + relative_ns;
-}
-
 void SyncWaiterDone(void* ctx, const ServeResponse& response) {
   SyncWaiter* waiter = static_cast<SyncWaiter*>(ctx);
   // Notify while still holding the mutex: the waiter destroys this
@@ -137,6 +129,14 @@ Status InferenceServer::Submit(const Tensor& clip,
   if (FaultInjection::Get().ShouldFire(FaultSite::kServePoisonInput)) {
     request.clip.flat(0) = std::numeric_limits<float>::quiet_NaN();
   }
+  // Ingest quarantine at admission: a poisoned clip never enters the
+  // queue, so it cannot expire there unseen.
+  if (!TensorHasFiniteValues(request.clip)) {
+    MutexLock lock(&mu_);
+    ++stats_.invalid_input;
+    return Status::InvalidArgument(
+        "clip rejected by ingest quarantine (non-finite values)");
+  }
   request.done_fn = done_fn;
   request.done_ctx = done_ctx;
   {
@@ -202,8 +202,6 @@ void InferenceServer::Complete(PendingRequest* request, Status status,
       ++stats_.completed_ok;
     } else if (status.IsDeadlineExceeded()) {
       ++stats_.expired;
-    } else if (status.IsInvalidArgument()) {
-      ++stats_.invalid_input;
     }
   }
   response.status = std::move(status);
@@ -277,21 +275,12 @@ void InferenceServer::ExecuteBatch(int64_t worker_index, Workspace& ws,
     }
   }
 
-  // Per-request quarantine: a poisoned clip fails alone, its batchmates
-  // still run. Then re-check deadlines so a stall (or a long validation)
-  // never leads to compute on requests that can no longer be answered.
+  // Re-check deadlines so a stall never leads to compute on requests
+  // that can no longer be answered.
   std::vector<PendingRequest> runnable;
   runnable.reserve(batch->size());
   int64_t batch_size = static_cast<int64_t>(batch->size());
   for (PendingRequest& request : *batch) {
-    if (!TensorHasFiniteValues(request.clip)) {
-      Complete(&request,
-               Status::InvalidArgument(
-                   "clip rejected by ingest quarantine (non-finite "
-                   "values)"),
-               Tensor(), taken_ns, batch_size);
-      continue;
-    }
     if (request.deadline_ns <= clock_->NowNanos()) {
       Complete(&request,
                Status::DeadlineExceeded(

@@ -70,9 +70,10 @@ struct ServerOptions {
 ///  - **Graceful degradation**: sustained shedding shrinks the target
 ///    batch size / coalescing delay (MicroBatcher ladder) and recovers
 ///    automatically once load drops.
-///  - **Poison isolation**: each request is finite-validated (the PR 1
-///    ingest-quarantine rule) at batch assembly, so one NaN-poisoned
-///    clip fails alone with kInvalidArgument while its batchmates run.
+///  - **Poison isolation**: each request is finite-validated (the
+///    ingest-quarantine rule of training) at admission, so a
+///    NaN-poisoned clip is rejected alone with kInvalidArgument before
+///    it can enter the queue, and its would-be batchmates run.
 ///  - **Watchdog**: per-worker heartbeats surface stalls through
 ///    Health() (kDegraded / kUnhealthy) without stopping admission
 ///    control.

@@ -230,6 +230,126 @@ const bool kHaveAvxFma =
     __builtin_cpu_supports("avx") && __builtin_cpu_supports("fma");
 #endif
 
+// Vertex mixing, with the GEMM tile's recipe: named accumulators,
+// inlined into one wrapper per target. Every block is kMixBlock lanes
+// wide; lanes past v meet zero padding and are dropped. Each lane does
+// what the scalar loop does to its element, so the bits do not depend
+// on the target. Forward, a double lane adds float×float products,
+// which are exact in double, so an FMA rounds the same sum as a
+// multiply and an add. Backward, a float lane adds rounded float
+// products, which must not be fused: that clone enables AVX without
+// FMA, because GCC contracts a*b+c whenever the target has FMA.
+#if DHGCN_GEMM_VECTOR_EXT
+typedef double V4d __attribute__((vector_size(32), aligned(8), may_alias));
+#endif
+
+// Packs M as T lanes: block j0 / kMixBlock, at lane j0 * v, holds v rows
+// k of kMixBlock lanes j0 + j, set to M[j0 + j, k] when `transpose`,
+// else M[k, j0 + j], and zero past v.
+template <typename T>
+const T* MixPack(const float* m, int64_t v, bool transpose, float* packed) {
+  T* p = reinterpret_cast<T*>(packed);
+  for (int64_t j0 = 0; j0 < v; j0 += kMixBlock) {
+    for (int64_t k = 0; k < v; ++k) {
+      for (int64_t j = j0; j < j0 + kMixBlock; ++j) {
+        *p++ = j >= v ? T{0} : transpose ? m[j * v + k] : m[k * v + j];
+      }
+    }
+  }
+  return reinterpret_cast<const T*>(packed);
+}
+
+DHGCN_GEMM_INLINE void MixForwardImpl(const double* mt, const float* x,
+                                      float* y, int64_t v, int64_t rows,
+                                      int64_t ld) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * ld;
+    for (int64_t j0 = 0; j0 < v; j0 += kMixBlock) {
+      const double* mb = mt + j0 * v;
+#if DHGCN_GEMM_VECTOR_EXT
+      V4d a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
+      for (int64_t u = 0; u < v; ++u) {
+        const V4d* m = reinterpret_cast<const V4d*>(mb + u * kMixBlock);
+        const double xu = xr[u];
+        a0 += m[0] * xu;
+        a1 += m[1] * xu;
+        a2 += m[2] * xu;
+        a3 += m[3] * xu;
+        a4 += m[4] * xu;
+        a5 += m[5] * xu;
+        a6 += m[6] * xu;
+        a7 += m[7] * xu;
+      }
+      const V4d acc[] = {a0, a1, a2, a3, a4, a5, a6, a7};
+      const double* lanes = reinterpret_cast<const double*>(acc);
+#else
+      double lanes[kMixBlock] = {};
+      for (int64_t u = 0; u < v; ++u) {
+        for (int64_t j = 0; j < kMixBlock; ++j) {
+          lanes[j] += mb[u * kMixBlock + j] * xr[u];
+        }
+      }
+#endif
+      float* yr = y + r * ld + j0;
+      for (int64_t j = 0; j < std::min(kMixBlock, v - j0); ++j) {
+        yr[j] = static_cast<float>(lanes[j]);
+      }
+    }
+  }
+}
+
+DHGCN_GEMM_INLINE void MixBackwardImpl(const float* mp, const float* g,
+                                       float* gx, int64_t v, int64_t rows,
+                                       int64_t ld) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* gr = g + r * ld;
+    for (int64_t j0 = 0; j0 < v; j0 += kMixBlock) {
+      const float* mb = mp + j0 * v;
+#if DHGCN_GEMM_VECTOR_EXT
+      V8f a0{}, a1{}, a2{}, a3{};
+      for (int64_t i = 0; i < v; ++i) {
+        const float gi = gr[i];
+        if (gi == 0.0f) continue;
+        const V8f* m = reinterpret_cast<const V8f*>(mb + i * kMixBlock);
+        a0 += m[0] * gi;
+        a1 += m[1] * gi;
+        a2 += m[2] * gi;
+        a3 += m[3] * gi;
+      }
+      const V8f acc[] = {a0, a1, a2, a3};
+      const float* lanes = reinterpret_cast<const float*>(acc);
+#else
+      float lanes[kMixBlock] = {};
+      for (int64_t i = 0; i < v; ++i) {
+        if (gr[i] == 0.0f) continue;
+        for (int64_t j = 0; j < kMixBlock; ++j) {
+          lanes[j] += gr[i] * mb[i * kMixBlock + j];
+        }
+      }
+#endif
+      float* gxr = gx + r * ld + j0;
+      for (int64_t j = 0; j < std::min(kMixBlock, v - j0); ++j) {
+        gxr[j] = lanes[j];
+      }
+    }
+  }
+}
+
+#if DHGCN_GEMM_DISPATCH
+__attribute__((target("avx,fma"))) void MixForwardAvxFma(
+    const double* mt, const float* x, float* y, int64_t v, int64_t rows,
+    int64_t ld) {
+  MixForwardImpl(mt, x, y, v, rows, ld);
+}
+
+__attribute__((target("avx"))) void MixBackwardAvx(const float* mp,
+                                                   const float* g, float* gx,
+                                                   int64_t v, int64_t rows,
+                                                   int64_t ld) {
+  MixBackwardImpl(mp, g, gx, v, rows, ld);
+}
+#endif
+
 }  // namespace
 
 bool GemmUseBlocked(int64_t m, int64_t k, int64_t n) {
@@ -296,6 +416,31 @@ void GemmBlockedPackedB(const float* a, const float* bp, float* c, int64_t m,
   }
 #endif
   GemmBlockedImpl(a, bp, c, m, k, n);
+}
+
+void MixForward(const float* m, const float* x, float* y, int64_t v,
+                int64_t rows, int64_t ld, float* packed) {
+  const double* mt = MixPack<double>(m, v, /*transpose=*/true, packed);
+#if DHGCN_GEMM_DISPATCH
+  if (kHaveAvxFma) {
+    MixForwardAvxFma(mt, x, y, v, rows, ld);
+    return;
+  }
+#endif
+  MixForwardImpl(mt, x, y, v, rows, ld);
+}
+
+void MixBackward(const float* m, const float* g, float* gx, int64_t v,
+                 int64_t rows, int64_t ld, float* packed) {
+  const float* mp = MixPack<float>(m, v, /*transpose=*/false, packed);
+#if DHGCN_GEMM_DISPATCH
+  // Gated with the other clones; every CPU with FMA has AVX.
+  if (kHaveAvxFma) {
+    MixBackwardAvx(mp, g, gx, v, rows, ld);
+    return;
+  }
+#endif
+  MixBackwardImpl(mp, g, gx, v, rows, ld);
 }
 
 Workspace& GemmPackScratch() {

@@ -67,6 +67,31 @@ void GemmPackTransposed(const float* a, int64_t k, int64_t m, float* at);
 void GemmBlockedPackedB(const float* a, const float* bp, float* c,
                         int64_t m, int64_t k, int64_t n);
 
+// Vertex-mixing kernel (DESIGN.md §10): one (v,v) operator M applied to
+// `rows` rows of v floats, `ld` floats apart, through a copy of M packed
+// into `packed` in zero-padded kMixBlock-wide blocks. Both directions
+// give the bits of the scalar loops of tests/oracles.h built with the
+// same flags.
+
+/// Lanes per row block: eight 4-lane doubles forward, four 8-lane floats
+/// backward.
+inline constexpr int64_t kMixBlock = 32;
+
+/// Floats of 8-byte-aligned `packed` scratch either call needs.
+inline int64_t MixPackedCount(int64_t v) {
+  return 2 * v * ((v + kMixBlock - 1) / kMixBlock) * kMixBlock;
+}
+
+/// y[i] = sum_u M[i,u] x[u]: +0.0 plus the exact double products in
+/// ascending u, rounded to float once.
+void MixForward(const float* m, const float* x, float* y, int64_t v,
+                int64_t rows, int64_t ld, float* packed);
+
+/// gx[u] = sum_i M[i,u] g[i]: float products added to +0.0 in ascending
+/// i, zero g[i] skipped.
+void MixBackward(const float* m, const float* g, float* gx, int64_t v,
+                 int64_t rows, int64_t ld, float* packed);
+
 /// Scratch arena for packed GEMM panels, owned by the calling thread.
 /// Only the linalg drivers touch it (acquire on the driving thread
 /// before dispatching a ParallelFor, Reset() when the product is done),
@@ -77,9 +102,10 @@ void GemmBlockedPackedB(const float* a, const float* bp, float* c,
 Workspace& GemmPackScratch();
 
 /// Per-thread scratch arena for op-level lowering buffers (im2col
-/// columns, pairwise-distance Gram matrices). Same discipline as
-/// GemmPackScratch: acquire on the driving thread, Reset() at the end of
-/// the op, never let a borrow escape the op that acquired it.
+/// columns, pairwise-distance Gram matrices, packed vertex-mixing
+/// operators). Same discipline as GemmPackScratch: acquire on the
+/// driving thread, Reset() at the end of the op, never let a borrow
+/// escape the op that acquired it.
 Workspace& KernelOpScratch();
 
 }  // namespace detail

@@ -27,13 +27,14 @@ CsrMatrix::CsrMatrix(int64_t rows, int64_t cols)
   DHGCN_CHECK_GT(cols, 0);
 }
 
-void CsrMatrix::AssignFromDense(const float* data, int64_t rows,
-                                int64_t cols, float tolerance) {
-  DHGCN_CHECK_GT(rows, 0);
-  DHGCN_CHECK_GT(cols, 0);
-  rows_ = rows;
-  cols_ = cols;
-  row_ptr_.resize(static_cast<size_t>(rows) + 1);
+void CsrMatrix::AssignFromDense(const Tensor& dense, float tolerance) {
+  DHGCN_CHECK_EQ(dense.ndim(), 2);
+  rows_ = dense.dim(0);
+  cols_ = dense.dim(1);
+  DHGCN_CHECK_GT(rows_, 0);
+  DHGCN_CHECK_GT(cols_, 0);
+  const float* data = dense.data();
+  row_ptr_.resize(static_cast<size_t>(rows_) + 1);
   col_idx_.clear();   // keeps capacity: no heap traffic once warm
   values_.clear();
   row_ptr_[0] = 0;
@@ -49,11 +50,6 @@ void CsrMatrix::AssignFromDense(const float* data, int64_t rows,
     row_ptr_[static_cast<size_t>(r) + 1] =
         static_cast<int64_t>(values_.size());
   }
-}
-
-void CsrMatrix::AssignFromDense(const Tensor& dense, float tolerance) {
-  DHGCN_CHECK_EQ(dense.ndim(), 2);
-  AssignFromDense(dense.data(), dense.dim(0), dense.dim(1), tolerance);
 }
 
 namespace {

@@ -39,13 +39,11 @@ class CsrMatrix {
   /// Empty rows x cols matrix (all zero).
   CsrMatrix(int64_t rows, int64_t cols);
 
-  /// In-place rebuild from a dense row-major buffer, dropping entries
+  /// In-place rebuild from a dense (rows, cols) tensor, dropping entries
   /// with |value| <= tolerance and reusing the index and value capacity
   /// of the previous build — the steady-state path for data-dependent
-  /// operators (dynamic topology) that re-compress every step without
-  /// heap growth once warm.
-  void AssignFromDense(const float* data, int64_t rows, int64_t cols,
-                       float tolerance = 0.0f);
+  /// operands (the weighted incidence of Eqs. 8–9) that re-compress
+  /// every call without heap growth once warm.
   void AssignFromDense(const Tensor& dense, float tolerance = 0.0f);
 
   int64_t rows() const { return rows_; }

@@ -469,24 +469,27 @@ TEST(ParallelDeterminism, SparseRoutedVertexMix) {
   });
 }
 
-TEST(ParallelDeterminism, SparseRoutedDynamicVertexMix) {
+// DynamicVertexMix runs a call's N·T frames in 16-frame chunks: 39
+// frames are two full chunks and a short one, so the frames split
+// across threads. V = 40 takes two column blocks of the mix kernel.
+TEST(ParallelDeterminism, FrameParallelDynamicVertexMix) {
   Rng rng(242);
-  Tensor ops = RandomAtDensity({2, 5, 17, 17}, 0.12, rng);
-  ASSERT_TRUE(ShouldRouteSparse(MeasureDensity(ops)));
-  Tensor x = Tensor::RandomNormal({2, 3, 5, 17}, rng);
-  Tensor gy = Tensor::RandomNormal({2, 3, 5, 17}, rng);
-  DynamicVertexMix mix;
-  mix.SetOperators(ops.Clone());
-  ExpectDeterministicAcrossThreadCounts(
-      "sparse DynamicVertexMix fwd+bwd", [&] {
-        Tensor y = mix.Forward(x);
-        Tensor g = mix.Backward(gy);
-        Tensor packed({y.numel() + g.numel()});
-        std::memcpy(packed.data(), y.data(), sizeof(float) * y.numel());
-        std::memcpy(packed.data() + y.numel(), g.data(),
-                    sizeof(float) * g.numel());
-        return packed;
-      });
+  for (int64_t v : {25, 40}) {
+    Tensor ops = RandomAtDensity({3, 13, v, v}, 0.3, rng);
+    Tensor x = Tensor::RandomNormal({3, 5, 13, v}, rng);
+    Tensor gy = RandomAtDensity({3, 5, 13, v}, 0.7, rng);
+    DynamicVertexMix mix;
+    mix.SetOperators(ops.Clone());
+    ExpectDeterministicAcrossThreadCounts("DynamicVertexMix fwd+bwd", [&] {
+      Tensor y = mix.Forward(x);
+      Tensor g = mix.Backward(gy);
+      Tensor packed({y.numel() + g.numel()});
+      std::memcpy(packed.data(), y.data(), sizeof(float) * y.numel());
+      std::memcpy(packed.data() + y.numel(), g.data(),
+                  sizeof(float) * g.numel());
+      return packed;
+    });
+  }
 }
 
 // Pruned fine-tuned training: the magnitude selection is a strict total

@@ -212,6 +212,49 @@ TEST_P(RoutedOperatorTest, DynamicVertexMixMatchesDenseReference) {
                  mix.Backward(gy), "DynamicVertexMix backward");
 }
 
+// The mix kernel at vertex counts around its 4-, 8- and 32-lane blocks,
+// over 39 frames (two full 16-frame chunks and a short one), with
+// gradients holding exact zeros. VertexMix takes the same kernel when
+// its operator is dense.
+TEST(RoutedOperator, MixKernelMatchesScalarLoopsAcrossVertexCounts) {
+  Rng rng(206);
+  for (int64_t v : {1, 4, 17, 18, 25, 32, 33, 47}) {
+    for (double density : {0.05, 1.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "V=" << v << " density=" << density);
+      Tensor ops = RandomAtDensity({3, 13, v, v}, density, rng);
+      Tensor x = Tensor::RandomNormal({3, 4, 13, v}, rng);
+      Tensor gy = RandomAtDensity({3, 4, 13, v}, 0.6, rng);
+      DynamicVertexMix mix;
+      mix.SetOperators(ops.Clone());
+      ExpectBitEqual(oracles::DynamicVertexMixForward(ops, x),
+                     mix.Forward(x), "DynamicVertexMix forward");
+      ExpectBitEqual(oracles::DynamicVertexMixBackward(ops, gy),
+                     mix.Backward(gy), "DynamicVertexMix backward");
+    }
+    Tensor op = Tensor::RandomNormal({v, v}, rng);
+    Tensor x = Tensor::RandomNormal({2, 3, 5, v}, rng);
+    Tensor gy = RandomAtDensity({2, 3, 5, v}, 0.6, rng);
+    VertexMix dense_mix(op.Clone());
+    ExpectBitEqual(oracles::VertexMixForward(op, x), dense_mix.Forward(x),
+                   "dense VertexMix forward");
+    ExpectBitEqual(oracles::VertexMixBackward(op, gy),
+                   dense_mix.Backward(gy), "dense VertexMix backward");
+  }
+  // Cancellation pins the ascending order: 2^60, -2^60, 1 summed in
+  // that order give 1 in double and in float, in any other order 0.
+  DynamicVertexMix mix;
+  mix.SetOperators(Tensor::Ones({1, 1, 33, 33}));
+  Tensor x = Tensor::Zeros({1, 1, 1, 33});
+  x.flat(0) = 0x1p60f;
+  x.flat(1) = -0x1p60f;
+  x.flat(2) = 1.0f;
+  ExpectBitEqual(Tensor::Ones(x.shape()), mix.Forward(x),
+                 "ascending-u forward sum");
+  ExpectBitEqual(Tensor::Ones(x.shape()), mix.Backward(x),
+                 "ascending-v backward scatter");
+}
+
 TEST_P(RoutedOperatorTest, WeightedIncidenceOperatorMatchesDenseReference) {
   const double density = GetParam();
   Rng rng(204);
