@@ -17,90 +17,122 @@ namespace {
 
 using detail::kGemmMR;
 
-/// Lowers one batch's (C, H, W) input into the (C*KH*KW, OH*OW) column
+/// Lowers one clip's (C, H, W) input into the (C*KH*KW, OH*OW) column
 /// matrix: row r = (ic, ky, kx) holds that tap's value for every output
-/// position, with out-of-bounds (padding) taps written as zero. Rows are
-/// independent, so the parallel split is trivially deterministic.
+/// position, with out-of-bounds (padding) taps written as zero. Serial:
+/// the clip-parallel passes below call it from their tasks.
 void Im2Col(const float* x, int64_t h, int64_t w, const Conv2dOptions& o,
             int64_t in_channels, int64_t oh, int64_t ow, float* col) {
   const int64_t kk = o.kernel_h * o.kernel_w;
   const int64_t out_plane = oh * ow;
-  ThreadPool::Get().ParallelFor(
-      0, in_channels * kk, GrainForFlops(out_plane),
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const int64_t ic = r / kk;
-          const int64_t ky = (r % kk) / o.kernel_w;
-          const int64_t kx = r % o.kernel_w;
-          const float* xplane = x + ic * h * w;
-          float* crow = col + r * out_plane;
-          for (int64_t oy = 0; oy < oh; ++oy) {
-            const int64_t iy = oy * o.stride_h - o.pad_h + ky * o.dilation_h;
-            float* cout = crow + oy * ow;
-            if (iy < 0 || iy >= h) {
-              for (int64_t ox = 0; ox < ow; ++ox) cout[ox] = 0.0f;
-              continue;
-            }
-            const float* xrow = xplane + iy * w;
-            for (int64_t ox = 0; ox < ow; ++ox) {
-              const int64_t ix = ox * o.stride_w - o.pad_w + kx * o.dilation_w;
-              cout[ox] = (ix < 0 || ix >= w) ? 0.0f : xrow[ix];
-            }
-          }
-        }
-      });
+  for (int64_t r = 0; r < in_channels * kk; ++r) {
+    const int64_t ic = r / kk;
+    const int64_t ky = (r % kk) / o.kernel_w;
+    const int64_t kx = r % o.kernel_w;
+    const float* xplane = x + ic * h * w;
+    float* crow = col + r * out_plane;
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      const int64_t iy = oy * o.stride_h - o.pad_h + ky * o.dilation_h;
+      float* cout = crow + oy * ow;
+      if (iy < 0 || iy >= h) {
+        for (int64_t ox = 0; ox < ow; ++ox) cout[ox] = 0.0f;
+        continue;
+      }
+      const float* xrow = xplane + iy * w;
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        const int64_t ix = ox * o.stride_w - o.pad_w + kx * o.dilation_w;
+        cout[ox] = (ix < 0 || ix >= w) ? 0.0f : xrow[ix];
+      }
+    }
+  }
 }
 
 /// Adjoint of Im2Col: scatters the (C*KH*KW, OH*OW) column gradient back
-/// into the (C, H, W) input gradient with `+=`. Parallel over input
-/// channels — each channel's kk rows and (h, w) plane belong to exactly
-/// one chunk, and taps are applied in ascending (ky, kx, oy, ox) order,
-/// so the result is bit-identical for every thread count.
+/// into the (C, H, W) input gradient with `+=`, taps in ascending
+/// (ic, ky, kx, oy, ox) order. Serial, like Im2Col.
 void Col2Im(const float* col, int64_t h, int64_t w, const Conv2dOptions& o,
             int64_t in_channels, int64_t oh, int64_t ow, float* gx) {
-  const int64_t kk = o.kernel_h * o.kernel_w;
   const int64_t out_plane = oh * ow;
-  ThreadPool::Get().ParallelFor(
-      0, in_channels, GrainForFlops(kk * out_plane),
-      [&](int64_t c0, int64_t c1) {
-        for (int64_t ic = c0; ic < c1; ++ic) {
-          float* gplane = gx + ic * h * w;
-          for (int64_t ky = 0; ky < o.kernel_h; ++ky) {
-            for (int64_t kx = 0; kx < o.kernel_w; ++kx) {
-              const float* crow =
-                  col + ((ic * o.kernel_h + ky) * o.kernel_w + kx) * out_plane;
-              for (int64_t oy = 0; oy < oh; ++oy) {
-                const int64_t iy =
-                    oy * o.stride_h - o.pad_h + ky * o.dilation_h;
-                if (iy < 0 || iy >= h) continue;
-                float* grow = gplane + iy * w;
-                const float* cin = crow + oy * ow;
-                for (int64_t ox = 0; ox < ow; ++ox) {
-                  const int64_t ix =
-                      ox * o.stride_w - o.pad_w + kx * o.dilation_w;
-                  if (ix < 0 || ix >= w) continue;
-                  grow[ix] += cin[ox];
-                }
-              }
-            }
+  for (int64_t ic = 0; ic < in_channels; ++ic) {
+    float* gplane = gx + ic * h * w;
+    for (int64_t ky = 0; ky < o.kernel_h; ++ky) {
+      for (int64_t kx = 0; kx < o.kernel_w; ++kx) {
+        const float* crow =
+            col + ((ic * o.kernel_h + ky) * o.kernel_w + kx) * out_plane;
+        for (int64_t oy = 0; oy < oh; ++oy) {
+          const int64_t iy = oy * o.stride_h - o.pad_h + ky * o.dilation_h;
+          if (iy < 0 || iy >= h) continue;
+          float* grow = gplane + iy * w;
+          const float* cin = crow + oy * ow;
+          for (int64_t ox = 0; ox < ow; ++ox) {
+            const int64_t ix = ox * o.stride_w - o.pad_w + kx * o.dilation_w;
+            if (ix < 0 || ix >= w) continue;
+            grow[ix] += cin[ox];
           }
         }
-      });
+      }
+    }
+  }
 }
 
-/// out_rows (rows m0..m1 of an (m, n) product) = bias ⊕ A B for packed
-/// B: initializes each owned row to its bias (or zero) and lets the
-/// blocked kernel accumulate on top. Used inside a ParallelFor over
-/// kGemmMR-aligned row blocks.
-void BiasedBlockedRows(const float* a, const float* bp, const float* bias,
-                       float* c, int64_t m0, int64_t m1, int64_t k,
-                       int64_t n) {
-  for (int64_t r = m0; r < m1; ++r) {
+/// Clips per chunk of a clip-parallel pass that does `clip_macs`
+/// multiply-accumulates per clip: a function of the shape alone.
+int64_t ClipGrain(int64_t clip_macs) {
+  return GrainForFlopsTarget(clip_macs, detail::kGemmChunkFlops);
+}
+
+/// c (m, n) = bias ⊕ A B for packed B: sets each row to its bias (or
+/// zero), then lets the blocked kernel accumulate all m rows in one
+/// call, so every row lands in the tile a serial run gives it.
+void BiasedBlocked(const float* a, const float* bp, const float* bias,
+                   float* c, int64_t m, int64_t k, int64_t n) {
+  for (int64_t r = 0; r < m; ++r) {
     const float bias_v = bias != nullptr ? bias[r] : 0.0f;
     float* crow = c + r * n;
     for (int64_t j = 0; j < n; ++j) crow[j] = bias_v;
   }
-  detail::GemmBlockedPackedB(a + m0 * k, bp, c + m0 * n, m1 - m0, k, n);
+  detail::GemmBlockedPackedB(a, bp, c, m, k, n);
+}
+
+/// dW (m, cols) += g_b (m, k) B_b^T for every clip b, where `slots`
+/// holds each clip's B^T panels (GemmPackBTransposed, GemmPackedBCount(k,
+/// cols) floats apart), packed by the caller's clip-parallel pass. One
+/// ParallelFor over kGemmMR-row blocks of dW; each block adds the clips
+/// in ascending order, so every element gets the same partials in the
+/// same order as one blocked product per clip, at any thread count.
+void AccumulateWeightGrad(const float* g, const float* slots, int64_t clips,
+                          int64_t m, int64_t k, int64_t cols, float* dw) {
+  const int64_t slot = detail::GemmPackedBCount(k, cols);
+  const int64_t row_blocks = (m + kGemmMR - 1) / kGemmMR;
+  ThreadPool::Get().ParallelFor(
+      0, row_blocks,
+      GrainForFlopsTarget(clips * kGemmMR * k * cols,
+                          detail::kGemmChunkFlops),
+      [&](int64_t t0, int64_t t1) {
+        const int64_t r0 = t0 * kGemmMR;
+        const int64_t r1 = std::min(m, t1 * kGemmMR);
+        for (int64_t b = 0; b < clips; ++b) {
+          detail::GemmBlockedPackedB(g + (b * m + r0) * k, slots + b * slot,
+                                     dw + r0 * cols, r1 - r0, k, cols);
+        }
+      });
+}
+
+/// db[oc] += the sum over every clip of g's (oc) plane, accumulated in
+/// double and added once; out-channel-parallel.
+void AccumulateBiasGrad(const float* g, int64_t clips, int64_t channels,
+                        int64_t plane, float* db) {
+  ThreadPool::Get().ParallelFor(
+      0, channels, GrainForFlops(clips * plane), [&](int64_t o0, int64_t o1) {
+        for (int64_t oc = o0; oc < o1; ++oc) {
+          double acc = 0.0;
+          for (int64_t b = 0; b < clips; ++b) {
+            const float* gplane = g + (b * channels + oc) * plane;
+            for (int64_t i = 0; i < plane; ++i) acc += gplane[i];
+          }
+          db[oc] += static_cast<float>(acc);
+        }
+      });
 }
 
 }  // namespace
@@ -194,30 +226,23 @@ void Conv2d::RunPointwise(const Tensor& input, const float* pw,
   int64_t plane = input.dim(2) * input.dim(3);
   float* po = out->data();
   if (detail::GemmUseBlocked(out_channels_, in_channels_, plane)) {
-    // out_b = bias ⊕ W x_b through the blocked kernel: pack each
-    // batch's (C_in, HW) activation once, then hand out kGemmMR
-    // out-channel tiles. Batches run serially (ascending), so chunk
-    // boundaries stay a pure function of shape.
+    // out_b = bias ⊕ W x_b through the blocked kernel, clips in
+    // parallel: each chunk packs its clips' (C_in, HW) activations into
+    // its own scratch slice and runs all C_out rows in one call.
+    const int64_t grain = ClipGrain(out_channels_ * in_channels_ * plane);
+    const int64_t count = detail::GemmPackedBCount(in_channels_, plane);
     Workspace& scratch = detail::KernelOpScratch();
-    Tensor xp =
-        scratch.Acquire({detail::GemmPackedBCount(in_channels_, plane)});
+    Tensor xp = scratch.Acquire({(n + grain - 1) / grain, count});
     float* pxp = xp.data();
-    const int64_t row_blocks = (out_channels_ + kGemmMR - 1) / kGemmMR;
-    for (int64_t b = 0; b < n; ++b) {
-      detail::GemmPackB(px + b * in_channels_ * plane, in_channels_, plane,
-                        pxp);
-      float* pob = po + b * out_channels_ * plane;
-      ThreadPool::Get().ParallelFor(
-          0, row_blocks,
-          GrainForFlopsTarget(kGemmMR * in_channels_ * plane,
-                              detail::kGemmChunkFlops),
-          [&](int64_t t0, int64_t t1) {
-            const int64_t r0 = t0 * kGemmMR;
-            const int64_t r1 = std::min(out_channels_, t1 * kGemmMR);
-            BiasedBlockedRows(pw, pxp, pb, pob, r0, r1, in_channels_,
-                              plane);
-          });
-    }
+    ThreadPool::Get().ParallelFor(0, n, grain, [&](int64_t b0, int64_t b1) {
+      float* slice = pxp + b0 / grain * count;
+      for (int64_t b = b0; b < b1; ++b) {
+        detail::GemmPackB(px + b * in_channels_ * plane, in_channels_, plane,
+                          slice);
+        BiasedBlocked(pw, slice, pb, po + b * out_channels_ * plane,
+                      out_channels_, in_channels_, plane);
+      }
+    });
     scratch.Reset();
     return;
   }
@@ -252,27 +277,29 @@ void Conv2d::RunIm2col(const Tensor& input, const float* pw, const float* pb,
   const int64_t ckk = in_channels_ * o.kernel_h * o.kernel_w;
   const float* px = input.data();
   float* po = out->data();
+  // Clips in parallel: each chunk lowers its clips into its own column
+  // and packed-panel slices and runs all C_out rows in one call.
+  const int64_t grain = ClipGrain(out_channels_ * ckk * out_plane);
+  const int64_t chunks = (n + grain - 1) / grain;
+  const int64_t col_count = ckk * out_plane;
+  const int64_t colp_count = detail::GemmPackedBCount(ckk, out_plane);
   Workspace& scratch = detail::KernelOpScratch();
-  Tensor col = scratch.Acquire({ckk, out_plane});
-  Tensor colp = scratch.Acquire({detail::GemmPackedBCount(ckk, out_plane)});
+  Tensor col = scratch.Acquire({chunks, col_count});
+  Tensor colp = scratch.Acquire({chunks, colp_count});
   float* pcol = col.data();
   float* pcolp = colp.data();
-  const int64_t row_blocks = (out_channels_ + kGemmMR - 1) / kGemmMR;
-  for (int64_t b = 0; b < n; ++b) {
-    Im2Col(px + b * in_channels_ * h * w, h, w, o, in_channels_, oh, ow,
-           pcol);
-    detail::GemmPackB(pcol, ckk, out_plane, pcolp);
-    float* pob = po + b * out_channels_ * out_plane;
-    ThreadPool::Get().ParallelFor(
-        0, row_blocks,
-        GrainForFlopsTarget(kGemmMR * ckk * out_plane,
-                            detail::kGemmChunkFlops),
-        [&](int64_t t0, int64_t t1) {
-          const int64_t r0 = t0 * kGemmMR;
-          const int64_t r1 = std::min(out_channels_, t1 * kGemmMR);
-          BiasedBlockedRows(pw, pcolp, pb, pob, r0, r1, ckk, out_plane);
-        });
-  }
+  ThreadPool::Get().ParallelFor(0, n, grain, [&](int64_t b0, int64_t b1) {
+    const int64_t chunk = b0 / grain;
+    float* cslice = pcol + chunk * col_count;
+    float* pslice = pcolp + chunk * colp_count;
+    for (int64_t b = b0; b < b1; ++b) {
+      Im2Col(px + b * in_channels_ * h * w, h, w, o, in_channels_, oh, ow,
+             cslice);
+      detail::GemmPackB(cslice, ckk, out_plane, pslice);
+      BiasedBlocked(pw, pslice, pb, po + b * out_channels_ * out_plane,
+                    out_channels_, ckk, out_plane);
+    }
+  });
   scratch.Reset();
 }
 
@@ -285,87 +312,66 @@ Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
       Shape{n, out_channels_,
             OutputDim(h, o.kernel_h, o.stride_h, o.pad_h, o.dilation_h),
             OutputDim(w, o.kernel_w, o.stride_w, o.pad_w, o.dilation_w)}));
+  if (!IsPointwise()) return BackwardIm2col(grad_output, ws);
 
-  if (IsPointwise()) {
-    // dX_b = W^T g_b; dW += g_b x_b^T (per batch, transposed GEMMs — no
-    // scratch product tensors). Each phase's chunks write disjoint
-    // outputs: grad_input is in-channel- or batch-parallel, the weight
-    // gradient takes out-channel row blocks of the blocked kernel, one
-    // batch at a time in ascending order, and the bias gradient is
-    // out-channel-parallel.
-    Tensor grad_input = NewZeroedTensor(ws, input.shape());
-    const float* px = input.data();
-    const float* pg = grad_output.data();
-    float* pgi = grad_input.data();
-    int64_t plane = h * w;
-    Tensor weight_2d = weight_.Reshape({out_channels_, in_channels_});
-    const float* pw2 = weight_2d.data();
-    if (detail::GemmUseBlocked(in_channels_, out_channels_, plane)) {
-      // dX_b = W^T g_b through the blocked kernel: transpose-pack W once,
-      // pack each batch's gradient, tile over in-channels. grad_input is
-      // zero-initialized, so the accumulate-only kernel lands the result
-      // directly.
-      Workspace& scratch = detail::KernelOpScratch();
-      Tensor wt = scratch.Acquire({in_channels_, out_channels_});
-      Tensor gp =
-          scratch.Acquire({detail::GemmPackedBCount(out_channels_, plane)});
-      float* pwt = wt.data();
-      float* pgp = gp.data();
-      detail::GemmPackTransposed(pw2, out_channels_, in_channels_, pwt);
-      const int64_t row_blocks = (in_channels_ + kGemmMR - 1) / kGemmMR;
-      for (int64_t b = 0; b < n; ++b) {
+  // dX_b = W^T g_b and dW += g_b x_b^T for every clip b. One clip pass
+  // writes each clip's input gradient and packs its x_b^T panels into
+  // the clip's dW slot; then the weight and bias gradients.
+  Tensor grad_input = NewZeroedTensor(ws, input.shape());
+  const float* px = input.data();
+  const float* pg = grad_output.data();
+  const float* pw = weight_.data();  // (C_out, C_in) row-major
+  float* pgi = grad_input.data();
+  const int64_t plane = h * w;
+  const int64_t slot = detail::GemmPackedBCount(plane, in_channels_);
+  Workspace& scratch = detail::KernelOpScratch();
+  Tensor slots = scratch.Acquire({n, slot});
+  float* pslots = slots.data();
+  auto pack_x = [&](int64_t b) {
+    detail::GemmPackBTransposed(px + b * in_channels_ * plane, in_channels_,
+                                plane, pslots + b * slot);
+  };
+  if (detail::GemmUseBlocked(in_channels_, out_channels_, plane)) {
+    // dX_b = W^T g_b through the blocked kernel: W^T is packed once
+    // here, each chunk packs its clips' gradients into its own slice
+    // and adds all C_in rows into the zeroed grad_input in one call.
+    const int64_t grain = ClipGrain(in_channels_ * out_channels_ * plane);
+    const int64_t count = detail::GemmPackedBCount(out_channels_, plane);
+    Tensor wt = scratch.Acquire({in_channels_, out_channels_});
+    Tensor gp = scratch.Acquire({(n + grain - 1) / grain, count});
+    float* pwt = wt.data();
+    float* pgp = gp.data();
+    detail::GemmPackTransposed(pw, out_channels_, in_channels_, pwt);
+    ThreadPool::Get().ParallelFor(0, n, grain, [&](int64_t b0, int64_t b1) {
+      float* slice = pgp + b0 / grain * count;
+      for (int64_t b = b0; b < b1; ++b) {
+        pack_x(b);
         detail::GemmPackB(pg + b * out_channels_ * plane, out_channels_,
-                          plane, pgp);
-        float* pgib = pgi + b * in_channels_ * plane;
-        ThreadPool::Get().ParallelFor(
-            0, row_blocks,
-            GrainForFlopsTarget(kGemmMR * out_channels_ * plane,
-                                detail::kGemmChunkFlops),
-            [&](int64_t t0, int64_t t1) {
-              const int64_t r0 = t0 * kGemmMR;
-              const int64_t r1 = std::min(in_channels_, t1 * kGemmMR);
-              detail::GemmBlockedPackedB(pwt + r0 * out_channels_, pgp,
-                                         pgib + r0 * plane, r1 - r0,
-                                         out_channels_, plane);
-            });
+                          plane, slice);
+        detail::GemmBlockedPackedB(pwt, slice, pgi + b * in_channels_ * plane,
+                                   in_channels_, out_channels_, plane);
       }
-      scratch.Reset();
-    } else {
-      ThreadPool::Get().ParallelFor(
-          0, n, GrainForFlops(out_channels_ * in_channels_ * plane),
-          [&](int64_t b0, int64_t b1) {
-            for (int64_t b = b0; b < b1; ++b) {
-              detail::GemmTransposedAAccumulate(
-                  pw2, pg + b * out_channels_ * plane,
-                  pgi + b * in_channels_ * plane, out_channels_, in_channels_,
-                  plane);
-            }
-          });
-    }
-    for (int64_t b = 0; b < n; ++b) {
-      detail::GemmTransposedBBlocked(
-          pg + b * out_channels_ * plane, px + b * in_channels_ * plane,
-          weight_grad_.data(), out_channels_, plane, in_channels_);
-    }
-    if (o.has_bias) {
-      float* pbg = bias_grad_.data();
-      ThreadPool::Get().ParallelFor(
-          0, out_channels_, GrainForFlops(n * plane),
-          [&](int64_t o0, int64_t o1) {
-            for (int64_t oc = o0; oc < o1; ++oc) {
-              double acc = 0.0;
-              for (int64_t b = 0; b < n; ++b) {
-                const float* gplane = pg + (b * out_channels_ + oc) * plane;
-                for (int64_t i = 0; i < plane; ++i) acc += gplane[i];
-              }
-              pbg[oc] += static_cast<float>(acc);
-            }
-          });
-    }
-    return grad_input;
+    });
+  } else {
+    ThreadPool::Get().ParallelFor(
+        0, n, GrainForFlops(out_channels_ * in_channels_ * plane),
+        [&](int64_t b0, int64_t b1) {
+          for (int64_t b = b0; b < b1; ++b) {
+            pack_x(b);
+            detail::GemmTransposedAAccumulate(
+                pw, pg + b * out_channels_ * plane,
+                pgi + b * in_channels_ * plane, out_channels_, in_channels_,
+                plane);
+          }
+        });
   }
-
-  return BackwardIm2col(grad_output, ws);
+  AccumulateWeightGrad(pg, pslots, n, out_channels_, plane, in_channels_,
+                       weight_grad_.data());
+  if (o.has_bias) {
+    AccumulateBiasGrad(pg, n, out_channels_, plane, bias_grad_.data());
+  }
+  scratch.Reset();
+  return grad_input;
 }
 
 Tensor Conv2d::BackwardIm2col(const Tensor& grad_output, Workspace* ws) {
@@ -380,64 +386,50 @@ Tensor Conv2d::BackwardIm2col(const Tensor& grad_output, Workspace* ws) {
   const float* pw = weight_.data();  // (C_out, ckk) row-major
   const float* pg = grad_output.data();
   float* pgi = grad_input.data();
-  float* pgw = weight_grad_.data();
 
+  // Clips in parallel. Per clip: recompute the column matrix (cheaper
+  // than caching n of them) and pack its transpose into the clip's dW
+  // slot; dcol = W^T g_b through the blocked kernel, all ckk rows in one
+  // call; scatter dcol back into the clip's input gradient.
+  const int64_t grain = ClipGrain(ckk * out_channels_ * out_plane);
+  const int64_t chunks = (n + grain - 1) / grain;
+  const int64_t col_count = ckk * out_plane;
+  const int64_t gp_count = detail::GemmPackedBCount(out_channels_, out_plane);
+  const int64_t slot = detail::GemmPackedBCount(out_plane, ckk);
   Workspace& scratch = detail::KernelOpScratch();
-  Tensor col = scratch.Acquire({ckk, out_plane});
-  Tensor dcol = scratch.Acquire({ckk, out_plane});
   Tensor wt = scratch.Acquire({ckk, out_channels_});
-  Tensor gp =
-      scratch.Acquire({detail::GemmPackedBCount(out_channels_, out_plane)});
+  Tensor slots = scratch.Acquire({n, slot});
+  Tensor col = scratch.Acquire({chunks, col_count});
+  Tensor dcol = scratch.Acquire({chunks, col_count});
+  Tensor gp = scratch.Acquire({chunks, gp_count});
+  float* pwt = wt.data();
+  float* pslots = slots.data();
   float* pcol = col.data();
   float* pdcol = dcol.data();
-  float* pwt = wt.data();
   float* pgp = gp.data();
   detail::GemmPackTransposed(pw, out_channels_, ckk, pwt);
-
-  const int64_t row_blocks = (ckk + kGemmMR - 1) / kGemmMR;
-  for (int64_t b = 0; b < n; ++b) {
-    const float* pgb = pg + b * out_channels_ * out_plane;
-    // dW += g_b col_b^T: recompute the column matrix (cheaper than
-    // caching n of them) and run the blocked kernel on out-channel row
-    // blocks, batches ascending — the same per-element order at every
-    // thread count.
-    Im2Col(px + b * in_channels_ * h * w, h, w, o, in_channels_, oh, ow,
-           pcol);
-    detail::GemmTransposedBBlocked(pgb, pcol, pgw, out_channels_, out_plane,
-                                   ckk);
-    // dcol = W^T g_b via the blocked kernel, then scatter back to the
-    // input gradient.
-    detail::GemmPackB(pgb, out_channels_, out_plane, pgp);
-    ThreadPool::Get().ParallelFor(
-        0, row_blocks,
-        GrainForFlopsTarget(kGemmMR * out_channels_ * out_plane,
-                            detail::kGemmChunkFlops),
-        [&](int64_t t0, int64_t t1) {
-          const int64_t r0 = t0 * kGemmMR;
-          const int64_t r1 = std::min(ckk, t1 * kGemmMR);
-          float* rows = pdcol + r0 * out_plane;
-          for (int64_t i = 0; i < (r1 - r0) * out_plane; ++i) rows[i] = 0.0f;
-          detail::GemmBlockedPackedB(pwt + r0 * out_channels_, pgp, rows,
-                                     r1 - r0, out_channels_, out_plane);
-        });
-    Col2Im(pdcol, h, w, o, in_channels_, oh, ow,
-           pgi + b * in_channels_ * h * w);
-  }
+  ThreadPool::Get().ParallelFor(0, n, grain, [&](int64_t b0, int64_t b1) {
+    const int64_t chunk = b0 / grain;
+    float* cslice = pcol + chunk * col_count;
+    float* dslice = pdcol + chunk * col_count;
+    float* gslice = pgp + chunk * gp_count;
+    for (int64_t b = b0; b < b1; ++b) {
+      Im2Col(px + b * in_channels_ * h * w, h, w, o, in_channels_, oh, ow,
+             cslice);
+      detail::GemmPackBTransposed(cslice, ckk, out_plane, pslots + b * slot);
+      detail::GemmPackB(pg + b * out_channels_ * out_plane, out_channels_,
+                        out_plane, gslice);
+      std::fill(dslice, dslice + col_count, 0.0f);
+      detail::GemmBlockedPackedB(pwt, gslice, dslice, ckk, out_channels_,
+                                 out_plane);
+      Col2Im(dslice, h, w, o, in_channels_, oh, ow,
+             pgi + b * in_channels_ * h * w);
+    }
+  });
+  AccumulateWeightGrad(pg, pslots, n, out_channels_, out_plane, ckk,
+                       weight_grad_.data());
   if (o.has_bias) {
-    float* pbg = bias_grad_.data();
-    ThreadPool::Get().ParallelFor(
-        0, out_channels_, GrainForFlops(n * out_plane),
-        [&](int64_t o0, int64_t o1) {
-          for (int64_t oc = o0; oc < o1; ++oc) {
-            double acc = 0.0;
-            for (int64_t b = 0; b < n; ++b) {
-              const float* gplane =
-                  pg + (b * out_channels_ + oc) * out_plane;
-              for (int64_t i = 0; i < out_plane; ++i) acc += gplane[i];
-            }
-            pbg[oc] += static_cast<float>(acc);
-          }
-        });
+    AccumulateBiasGrad(pg, n, out_channels_, out_plane, bias_grad_.data());
   }
   scratch.Reset();
   return grad_input;

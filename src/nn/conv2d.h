@@ -28,8 +28,9 @@ struct Conv2dOptions {
 
 /// \brief 2-D convolution over (N, C, H, W) inputs.
 ///
-/// 1x1 convolutions run as per-batch GEMMs, every other shape is lowered
-/// through im2col onto the blocked GEMM (see DESIGN.md §10). Output
+/// 1x1 convolutions run as per-clip GEMMs, every other shape is lowered
+/// through im2col onto the blocked GEMM, each pass one ParallelFor over
+/// the batch's clips (see DESIGN.md §9 and §10). Output
 /// spatial size follows the usual formula
 /// out = (in + 2*pad - dilation*(k-1) - 1)/stride + 1.
 class Conv2d : public Layer {
@@ -66,7 +67,7 @@ class Conv2d : public Layer {
   /// Shared forward kernels: both the layer path and plan replay land
   /// here, parameterized by raw weight/bias pointers and a pre-allocated
   /// destination (every element of `out` is written). Im2col lowers each
-  /// batch onto the blocked GEMM (scratch columns from
+  /// clip onto the blocked GEMM (per-chunk scratch columns from
   /// detail::KernelOpScratch).
   void RunForward(const Tensor& input, const float* pw, const float* pb,
                   int64_t oh, int64_t ow, Tensor* out) const;
@@ -77,7 +78,7 @@ class Conv2d : public Layer {
   Tensor BackwardIm2col(const Tensor& grad_output, Workspace* ws);
 
   /// 1x1/stride-1/unpadded convolutions (the channel mixers, which
-  /// dominate the skeleton models) reduce to per-batch GEMMs.
+  /// dominate the skeleton models) reduce to per-clip GEMMs.
   bool IsPointwise() const;
 
   int64_t in_channels_;

@@ -1,6 +1,7 @@
 #include "nn/relu.h"
 
 #include "base/check.h"
+#include "base/thread_pool.h"
 #include "plan/plan_builder.h"
 #include "tensor/workspace.h"
 
@@ -10,9 +11,12 @@ void ReLU::EvalPlan(const Tensor& input, Tensor* out) {
   DHGCN_CHECK(ShapesEqual(out->shape(), input.shape()));
   const float* px = input.data();
   float* po = out->data();
-  for (int64_t i = 0; i < input.numel(); ++i) {
-    po[i] = px[i] > 0.0f ? px[i] : 0.0f;
-  }
+  ThreadPool::Get().ParallelFor(
+      0, input.numel(), GrainForFlops(1), [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+          po[i] = px[i] > 0.0f ? px[i] : 0.0f;
+        }
+      });
 }
 
 int64_t ReLU::Record(PlanBuilder& builder, int64_t in) {
@@ -33,11 +37,14 @@ Tensor ReLU::ForwardImpl(const Tensor& input, Workspace* ws) {
   const float* px = input.data();
   float* po = out.data();
   float* pm = cached_mask_.data();
-  for (int64_t i = 0; i < input.numel(); ++i) {
-    bool positive = px[i] > 0.0f;
-    po[i] = positive ? px[i] : 0.0f;
-    pm[i] = positive ? 1.0f : 0.0f;
-  }
+  ThreadPool::Get().ParallelFor(
+      0, input.numel(), GrainForFlops(1), [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+          bool positive = px[i] > 0.0f;
+          po[i] = positive ? px[i] : 0.0f;
+          pm[i] = positive ? 1.0f : 0.0f;
+        }
+      });
   return out;
 }
 
@@ -47,7 +54,10 @@ Tensor ReLU::BackwardImpl(const Tensor& grad_output, Workspace* ws) {
   const float* pg = grad_output.data();
   const float* pm = cached_mask_.data();
   float* po = grad_input.data();
-  for (int64_t i = 0; i < grad_output.numel(); ++i) po[i] = pg[i] * pm[i];
+  ThreadPool::Get().ParallelFor(
+      0, grad_output.numel(), GrainForFlops(1), [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) po[i] = pg[i] * pm[i];
+      });
   return grad_input;
 }
 

@@ -16,8 +16,8 @@ class ReLU : public Layer {
   int64_t Record(PlanBuilder& builder, int64_t in) override;
 
   /// Plan-replay entry: y = max(x, 0) into the pre-shaped `out`. Same
-  /// serial elementwise loop as the layer path (bit-identical values),
-  /// but no autograd mask is built or cached.
+  /// elementwise loop as the layer path (bit-identical values), but no
+  /// autograd mask is built or cached.
   static void EvalPlan(const Tensor& input, Tensor* out);
 
  private:

@@ -35,6 +35,7 @@ typedef float V8f __attribute__((vector_size(32), aligned(4), may_alias));
 #endif
 
 static_assert(kGemmNR == 16, "micro-kernels assume two 8-wide columns");
+static_assert(kGemmMR <= 4, "micro-kernels have at most four rows");
 
 #if DHGCN_GEMM_VECTOR_EXT
 // Full-panel register tile: kRows x kGemmNR accumulators held in vector
@@ -54,8 +55,7 @@ template <int kRows>
 DHGCN_GEMM_INLINE void MicroKernelTileFull(const float* a, int64_t lda,
                                            const float* bp, int64_t kc,
                                            float* c, int64_t ldc) {
-  V8f c00{}, c01{}, c10{}, c11{}, c20{}, c21{};
-  V8f c30{}, c31{}, c40{}, c41{}, c50{}, c51{};
+  V8f c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
   for (int64_t p = 0; p < kc; ++p) {
     const V8f* brow = reinterpret_cast<const V8f*>(bp + p * kGemmNR);
     const V8f b0 = brow[0];
@@ -78,16 +78,6 @@ DHGCN_GEMM_INLINE void MicroKernelTileFull(const float* a, int64_t lda,
       c30 += b0 * a3;
       c31 += b1 * a3;
     }
-    if constexpr (kRows > 4) {
-      const float a4 = a[4 * lda + p];
-      c40 += b0 * a4;
-      c41 += b1 * a4;
-    }
-    if constexpr (kRows > 5) {
-      const float a5 = a[5 * lda + p];
-      c50 += b0 * a5;
-      c51 += b1 * a5;
-    }
   }
   // Explicit stores (a helper taking V8f parameters would re-raise the
   // vector-ABI warning in baseline-ISA code).
@@ -108,16 +98,6 @@ DHGCN_GEMM_INLINE void MicroKernelTileFull(const float* a, int64_t lda,
     crow = reinterpret_cast<V8f*>(c + 3 * ldc);
     crow[0] += c30;
     crow[1] += c31;
-  }
-  if constexpr (kRows > 4) {
-    crow = reinterpret_cast<V8f*>(c + 4 * ldc);
-    crow[0] += c40;
-    crow[1] += c41;
-  }
-  if constexpr (kRows > 5) {
-    crow = reinterpret_cast<V8f*>(c + 5 * ldc);
-    crow[0] += c50;
-    crow[1] += c51;
   }
 }
 #endif
@@ -178,12 +158,6 @@ DHGCN_GEMM_INLINE void GemmBlockedImpl(const float* a, const float* bp,
         const float* ai = a + i * k + k0;
         float* ci = c + i * n + j0;
         switch (rows) {
-          case 6:
-            MicroKernelTile<6>(ai, k, bpk, kc, ci, n, cols);
-            break;
-          case 5:
-            MicroKernelTile<5>(ai, k, bpk, kc, ci, n, cols);
-            break;
           case 4:
             MicroKernelTile<4>(ai, k, bpk, kc, ci, n, cols);
             break;

@@ -140,19 +140,6 @@ void ParallelGemm(const float* a, const float* b, float* c, int64_t m,
 
 }  // namespace
 
-namespace detail {
-
-void GemmTransposedBBlocked(const float* a, const float* b, float* c,
-                            int64_t m, int64_t k, int64_t n) {
-  Workspace& scratch = GemmPackScratch();
-  Tensor bp = scratch.Acquire({GemmPackedBCount(k, n)});
-  GemmPackBTransposed(b, n, k, bp.data());
-  ParallelBlockedRows(a, bp.data(), c, m, k, n);
-  scratch.Reset();
-}
-
-}  // namespace detail
-
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   DHGCN_CHECK_EQ(a.ndim(), 2);
   DHGCN_CHECK_EQ(b.ndim(), 2);

@@ -45,13 +45,6 @@ void GemmTransposedAAccumulateCols(const float* a, const float* b, float* c,
 // transparency; DESIGN.md §10).
 void GemmTransposedB(const float* a, const float* b, float* c, int64_t m,
                      int64_t k, int64_t n, bool accumulate);
-// C (m,n) += A (m,k) * B^T for B (n,k) on the blocked kernel: packs B^T
-// into GemmPackScratch() panels and splits C into kGemmMR-row blocks
-// over the pool, so bits are identical at every thread count. Conv2d's
-// weight gradients call it once per batch, batches ascending. Driving
-// thread only.
-void GemmTransposedBBlocked(const float* a, const float* b, float* c,
-                            int64_t m, int64_t k, int64_t n);
 }  // namespace detail
 
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out,

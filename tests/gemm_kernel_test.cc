@@ -138,7 +138,8 @@ TEST(GemmKernel, TransposedAMatchesReference) {
 }
 
 TEST(GemmKernel, TransposedBBlockedMatchesReference) {
-  // The conv weight-gradient product: C += A B^T for B (n,k), against
+  // The conv weight-gradient product: C += A B^T for B (n,k), with B^T
+  // packed by GemmPackBTransposed and run on the blocked kernel, against
   // the reference product on materialized b^T, accumulating into
   // existing contents.
   for (const GemmShape& s : kShapes) {
@@ -156,9 +157,12 @@ TEST(GemmKernel, TransposedBBlockedMatchesReference) {
     oracles::GemmReferenceAccumulate(a.data(), bt.data(), want.data(), s.m,
                                      s.k, s.n);
     Tensor got = init.Clone();
-    detail::GemmTransposedBBlocked(a.data(), b.data(), got.data(), s.m, s.k,
-                                   s.n);
-    ExpectAllClose(want, got, "GemmTransposedBBlocked vs reference");
+    std::vector<float> bp(
+        static_cast<size_t>(detail::GemmPackedBCount(s.k, s.n)));
+    detail::GemmPackBTransposed(b.data(), s.n, s.k, bp.data());
+    detail::GemmBlockedPackedB(a.data(), bp.data(), got.data(), s.m, s.k,
+                               s.n);
+    ExpectAllClose(want, got, "packed B^T blocked product vs reference");
   }
 }
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include "gtest/gtest.h"
 
@@ -239,6 +240,79 @@ TEST(Conv2dDeathTest, TemporalBackwardShapeMismatch) {
   ASSERT_EQ(y.shape(), (Shape{1, 3, 16, 5}));
   EXPECT_DEATH(conv.Backward(Tensor::Ones({1, 3, 12, 5})), "DHGCN_CHECK");
   EXPECT_DEATH(conv.Backward(Tensor::Ones({1, 3, 16, 6})), "DHGCN_CHECK");
+}
+
+// The clip-order contract: a batch's clips are independent. An N-clip
+// forward equals N one-clip forwards, and one N-clip backward equals N
+// one-clip backwards accumulated in ascending clip order (no ZeroGrad
+// between them), memcmp-equal. The bias gradient is left out: it sums
+// the whole batch in double before one float add.
+struct ClipOrderCase {
+  const char* name;
+  Conv2dOptions options;
+  int64_t in_channels, out_channels;
+  Shape x_shape;
+};
+
+// Clip b of an (N, C, H, W) tensor, as a (1, C, H, W) copy.
+Tensor ClipOf(const Tensor& t, int64_t b) {
+  Tensor clip({1, t.dim(1), t.dim(2), t.dim(3)});
+  const int64_t count = clip.numel();
+  std::memcpy(clip.data(), t.data() + b * count,
+              static_cast<size_t>(count) * sizeof(float));
+  return clip;
+}
+
+void ExpectClipBits(const Tensor& batched, int64_t b, const Tensor& clip,
+                    const char* what, const char* name) {
+  ASSERT_EQ(batched.numel(), batched.dim(0) * clip.numel()) << name;
+  EXPECT_EQ(std::memcmp(batched.data() + b * clip.numel(), clip.data(),
+                        static_cast<size_t>(clip.numel()) * sizeof(float)),
+            0)
+      << name << ": " << what << " of clip " << b
+      << " differs from its one-clip run";
+}
+
+void ExpectClipOrderContract(const ClipOrderCase& c) {
+  Rng batched_rng(16), single_rng(16);
+  Conv2d batched(c.in_channels, c.out_channels, c.options, batched_rng);
+  Conv2d single(c.in_channels, c.out_channels, c.options, single_rng);
+  Rng rng(17);
+  Tensor x = Tensor::RandomNormal(c.x_shape, rng);
+  Tensor y = batched.Forward(x);
+  Tensor g = Tensor::RandomNormal(y.shape(), rng);
+  batched.ZeroGrad();
+  Tensor gx = batched.Backward(g);
+  single.ZeroGrad();
+  for (int64_t b = 0; b < x.dim(0); ++b) {
+    ExpectClipBits(y, b, single.Forward(ClipOf(x, b)), "output", c.name);
+    ExpectClipBits(gx, b, single.Backward(ClipOf(g, b)), "grad_input",
+                   c.name);
+  }
+  const Tensor& want = *single.Params()[0].grad;
+  const Tensor& got = *batched.Params()[0].grad;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        static_cast<size_t>(want.numel()) * sizeof(float)),
+            0)
+      << c.name << ": weight gradient differs from the clip-by-clip sum";
+}
+
+// Each shape does enough work per clip that every clip-parallel pass
+// gives each clip its own chunk.
+TEST(Conv2dTest, BatchEqualsClipsInOrder) {
+  ClipOrderCase pointwise{"1x1 32->64", {}, 32, 64, {4, 32, 8, 25}};
+  ExpectClipOrderContract(pointwise);
+
+  ClipOrderCase im2col{"3x1 pad 1 16->32", {}, 16, 32, {4, 16, 16, 25}};
+  im2col.options.kernel_h = 3;
+  im2col.options.pad_h = 1;
+  ExpectClipOrderContract(im2col);
+
+  ClipOrderCase strided{"3x1 stride 2 32->32", {}, 32, 32, {4, 32, 8, 25}};
+  strided.options.kernel_h = 3;
+  strided.options.pad_h = 1;
+  strided.options.stride_h = 2;
+  ExpectClipOrderContract(strided);
 }
 
 // --- BatchNorm ------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -119,38 +120,39 @@ TEST(ParallelDeterminism, MatMulTransposedB) {
       "MatMulTransposedB", [&] { return MatMulTransposedB(a, b); });
 }
 
-// Forward + backward of a freshly seeded Conv2d; returns grad_input and
-// checks the accumulated weight/bias gradients inline.
-Tensor RunConvOnce(const Conv2dOptions& options, int64_t in_channels,
-                   int64_t out_channels, const Shape& x_shape,
-                   Tensor* weight_grad, Tensor* bias_grad) {
+// Forward + backward of a freshly seeded Conv2d: the forward output,
+// grad_input, then the accumulated gradient of each parameter.
+std::vector<Tensor> RunConvOnce(const Conv2dOptions& options,
+                                int64_t in_channels, int64_t out_channels,
+                                const Shape& x_shape) {
   Rng rng(206);
   Conv2d layer(in_channels, out_channels, options, rng);
   Tensor x = Tensor::RandomNormal(x_shape, rng);
-  Tensor out = layer.Forward(x);
-  Tensor g = Tensor::RandomNormal(out.shape(), rng);
+  std::vector<Tensor> results = {layer.Forward(x)};
+  Tensor g = Tensor::RandomNormal(results[0].shape(), rng);
   layer.ZeroGrad();
-  Tensor grad_input = layer.Backward(g);
-  *weight_grad = layer.Params()[0].grad->Clone();
-  *bias_grad = layer.Params()[1].grad->Clone();
-  return grad_input;
+  results.push_back(layer.Backward(g));
+  for (const ParamRef& p : layer.Params()) results.push_back(p.grad->Clone());
+  return results;
 }
 
 void CheckConvDeterminism(const char* what, const Conv2dOptions& options,
                           int64_t in_channels, int64_t out_channels,
                           const Shape& x_shape) {
+  const char* const kParts[] = {"output", "grad_input", "weight grad",
+                                "bias grad"};
   ThreadPool::Get().SetThreads(1);
-  Tensor serial_wg, serial_bg;
-  Tensor serial_gi = RunConvOnce(options, in_channels, out_channels,
-                                 x_shape, &serial_wg, &serial_bg);
+  std::vector<Tensor> serial =
+      RunConvOnce(options, in_channels, out_channels, x_shape);
   for (int64_t threads : kThreadCounts) {
     ThreadPool::Get().SetThreads(threads);
-    Tensor wg, bg;
-    Tensor gi = RunConvOnce(options, in_channels, out_channels, x_shape,
-                            &wg, &bg);
-    ExpectBitEqual(serial_gi, gi, what, threads);
-    ExpectBitEqual(serial_wg, wg, what, threads);
-    ExpectBitEqual(serial_bg, bg, what, threads);
+    std::vector<Tensor> parallel =
+        RunConvOnce(options, in_channels, out_channels, x_shape);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      const std::string part = std::string(what) + " " + kParts[i];
+      ExpectBitEqual(serial[i], parallel[i], part.c_str(), threads);
+    }
   }
   ThreadPool::Get().SetThreads(1);
 }
@@ -174,7 +176,7 @@ TEST(ParallelDeterminism, Conv2dGeneral) {
 
 // Strided + dilated temporal conv, large enough that the im2col GEMM
 // takes the cache-blocked kernel; exercises the Col2Im scatter and the
-// per-batch packed-buffer reuse under every thread count.
+// per-clip packed-buffer reuse under every thread count.
 TEST(ParallelDeterminism, Conv2dStridedDilatedIm2col) {
   Conv2dOptions options;
   options.kernel_h = 9;
@@ -183,6 +185,27 @@ TEST(ParallelDeterminism, Conv2dStridedDilatedIm2col) {
   options.stride_h = 2;
   CheckConvDeterminism("Conv2d 9x1 s2 d2", options, 8, 12,
                        {3, 8, 24, 25});
+}
+
+// A DHGCN block's shapes with at least kGemmChunkFlops multiply-
+// accumulates per clip: every clip-parallel pass gets a grain of one
+// clip, so five clips make five chunks, each with its own scratch
+// slices, split raggedly over 2 and 7 threads.
+TEST(ParallelDeterminism, Conv2dClipParallel) {
+  CheckConvDeterminism("Conv2d 1x1 32->64", Conv2dOptions{}, 32, 64,
+                       {5, 32, 8, 25});
+  Conv2dOptions temporal;
+  temporal.kernel_h = 3;
+  temporal.pad_h = 1;
+  temporal.stride_h = 2;
+  CheckConvDeterminism("Conv2d 3x1 s2 64->64", temporal, 64, 64,
+                       {5, 64, 8, 25});
+  // The strided 1x1 residual beside it takes the im2col path.
+  Conv2dOptions residual;
+  residual.stride_h = 2;
+  residual.has_bias = false;
+  CheckConvDeterminism("Conv2d 1x1 s2 residual", residual, 64, 64,
+                       {5, 64, 8, 25});
 }
 
 Tensor RunBatchNormOnce(bool training, Tensor* grad_input,
