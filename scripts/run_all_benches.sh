@@ -23,9 +23,10 @@ build/bench/bench_kernels \
   --benchmark_filter='GemmBlocked|Conv2dIm2col' \
   --benchmark_format=json > BENCH_gemm.json
 echo "===== serving load test -> BENCH_serving.json ====="
-# Baseline / 4x-overload-with-faults / recovery phases; --strict makes
-# the overload contract (explicit sheds, bounded p99, ladder recovery)
-# a hard failure rather than a number to eyeball.
+# Baseline / 4x-overload-with-faults / recovery phases on the default
+# per-batch-size plans; --strict makes the overload contract (explicit
+# sheds, bounded p99, ladder recovery) a hard failure rather than a
+# number to eyeball.
 build/tools/dhgcn_serve --config tiny --classes 5 --frames 16 \
   --workers 2 --queue_capacity 32 --max_batch 8 \
   --qps 150 --deadline_ms 50 --overload_factor 6 --duration_ms 1500 \
@@ -46,13 +47,4 @@ echo "===== int8 quantized inference -> BENCH_int8.json ====="
 # DESIGN.md §15) and end-to-end fused-fp32 vs int8 plan-replay eval
 # throughput on the Small serving model.
 build/bench/bench_int8 --benchmark_format=json > BENCH_int8.json
-echo "===== serving soak with compiled plans (--plan on) ====="
-# Same soak, replaying compiled per-batch-size plans inside the workers;
-# exercises the plan fallback + micro-batching contract end to end.
-build/tools/dhgcn_serve --config tiny --classes 5 --frames 16 \
-  --workers 2 --queue_capacity 32 --max_batch 8 \
-  --qps 150 --deadline_ms 50 --overload_factor 6 --duration_ms 1500 \
-  --fault_inject worker-stall:5:40 --poison_every 97 \
-  --plan on --strict \
-  2>&1 | tee -a "$out"
 echo "wrote $out, BENCH_threads.json, BENCH_gemm.json, BENCH_serving.json, BENCH_plan.json, BENCH_sparse.json and BENCH_int8.json"

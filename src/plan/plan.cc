@@ -30,16 +30,14 @@ std::string ShapeString(const Shape& shape) {
 }  // namespace
 
 Result<PlanMode> ParsePlanMode(const std::string& text) {
-  if (text == "off") return PlanMode::kOff;
   if (text == "on" || text == "unfused") return PlanMode::kUnfused;
   if (text == "fused") return PlanMode::kFused;
   return Status::InvalidArgument(
-      StrCat("unknown plan mode '", text, "' (expected off|on|fused)"));
+      StrCat("unknown plan mode '", text, "' (expected on|fused)"));
 }
 
 const char* PlanModeName(PlanMode mode) {
   switch (mode) {
-    case PlanMode::kOff: return "off";
     case PlanMode::kUnfused: return "on";
     case PlanMode::kFused: return "fused";
   }

@@ -21,12 +21,11 @@ class Linear;
 class VertexMix;
 struct DynamicTopologyOptions;
 
-/// Plan execution mode, selected via `--plan off|on|fused`:
-///  - kOff:     layer-by-layer dispatch (legacy path).
+/// Plan execution mode, selected via `--plan on|fused`:
 ///  - kUnfused: compiled plan, bit-identical to the layer path.
 ///  - kFused:   compiled plan with Conv→BN folding and elementwise
 ///              fusion (rtol-equivalent, not bit-exact).
-enum class PlanMode { kOff, kUnfused, kFused };
+enum class PlanMode { kUnfused, kFused };
 
 Result<PlanMode> ParsePlanMode(const std::string& text);
 const char* PlanModeName(PlanMode mode);

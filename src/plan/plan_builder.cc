@@ -67,9 +67,6 @@ Result<ExecutionPlan> CaptureInferencePlan(Layer& model,
 Result<ExecutionPlan> BuildInferencePlan(Layer& model,
                                          const Shape& input_shape,
                                          PlanMode mode) {
-  if (mode == PlanMode::kOff) {
-    return Status::InvalidArgument("BuildInferencePlan with plan mode off");
-  }
   ExecutionPlan plan;
   DHGCN_ASSIGN_OR_RETURN(plan, CaptureInferencePlan(model, input_shape));
   if (mode == PlanMode::kFused) {

@@ -57,7 +57,6 @@ Result<ExecutionPlan> CaptureInferencePlan(Layer& model,
 ///  - PlanMode::kUnfused: capture and resolve (bit-identical replay).
 ///  - PlanMode::kFused:   capture, fold BatchNorm into Conv/Linear,
 ///    fuse elementwise chains, then resolve (rtol-equivalent replay).
-/// PlanMode::kOff is an error — callers gate on it before building.
 Result<ExecutionPlan> BuildInferencePlan(Layer& model,
                                          const Shape& input_shape,
                                          PlanMode mode);

@@ -8,24 +8,19 @@
 #include "base/string_util.h"
 #include "data/skeleton.h"
 #include "io/serialization.h"
-#include "nn/layer.h"
-#include "plan/plan_builder.h"
-#include "quant/quantize_pass.h"
-#include "tensor/workspace.h"
+#include "quant/calibration.h"
 
 namespace dhgcn {
 
 FrozenModel::FrozenModel(std::unique_ptr<DhgcnModel> model,
                          const DhgcnConfig& config, int64_t frames,
                          int64_t num_joints, PlanMode plan,
-                         Precision precision, QuantCalibration calib)
+                         std::optional<QuantCalibration> calibration)
     : model_(std::move(model)),
+      plans_(*model_, plan, std::move(calibration)),
       config_(config),
       frames_(frames),
-      num_joints_(num_joints),
-      plan_mode_(plan),
-      precision_(precision),
-      calib_(std::move(calib)) {}
+      num_joints_(num_joints) {}
 
 Result<std::unique_ptr<FrozenModel>> FrozenModel::Load(
     const std::string& checkpoint_path, const DhgcnConfig& config,
@@ -41,7 +36,7 @@ Result<std::unique_ptr<FrozenModel>> FrozenModel::Load(
   }
   model->SetTraining(false);
   int64_t num_joints = GetSkeletonLayout(config.layout).num_joints;
-  QuantCalibration calib;
+  std::optional<QuantCalibration> calib;
   if (precision == Precision::kInt8) {
     // Checkpoints carry no calibration data, so calibrate on a
     // deterministic synthetic batch drawn from the load-generator
@@ -60,14 +55,13 @@ Result<std::unique_ptr<FrozenModel>> FrozenModel::Load(
     } else {
       DHGCN_LOG(kWarning) << "int8 calibration failed ("
                           << c.status().ToString() << "); serving fp32";
-      precision = Precision::kFp32;
     }
   }
   return std::unique_ptr<FrozenModel>(
       // lint: allow-naked-new — private ctor is unreachable by
       // make_unique; the pointer lands in unique_ptr immediately.
       new FrozenModel(std::move(model), config, frames, num_joints, plan,
-                      precision, std::move(calib)));
+                      std::move(calib)));
 }
 
 Status FrozenModel::ValidateClipShape(const Tensor& clip) const {
@@ -80,52 +74,6 @@ Status FrozenModel::ValidateClipShape(const Tensor& clip) const {
                ")"));
   }
   return Status::OK();
-}
-
-PlanRunner* FrozenModel::RunnerForBatch(int64_t batch_size,
-                                        const Shape& input_shape) {
-  const bool int8 = precision_ == Precision::kInt8;
-  if ((plan_mode_ == PlanMode::kOff && !int8) || plan_failed_) {
-    return nullptr;
-  }
-  auto it = runners_.find(batch_size);
-  if (it != runners_.end()) return it->second.get();
-  Result<ExecutionPlan> plan =
-      int8 ? BuildInt8InferencePlan(*model_, input_shape, calib_)
-           : BuildInferencePlan(*model_, input_shape, plan_mode_);
-  if (!plan.ok()) {
-    if (int8) {
-      // Downgrade this replica to fp32 permanently; existing int8
-      // runners for other batch sizes can't exist yet (first compile
-      // failure is the only path here) or stay valid regardless.
-      DHGCN_LOG(kWarning) << "int8 plan compile failed ("
-                          << plan.status().ToString() << "); serving fp32";
-      precision_ = Precision::kFp32;
-      return RunnerForBatch(batch_size, input_shape);
-    }
-    DHGCN_LOG(kWarning) << "serving plan capture failed ("
-                        << plan.status().ToString()
-                        << "); falling back to layer-by-layer inference";
-    plan_failed_ = true;
-    return nullptr;
-  }
-  it = runners_
-           .emplace(batch_size,
-                    std::make_unique<PlanRunner>(std::move(plan).ValueOrDie()))
-           .first;
-  return it->second.get();
-}
-
-Tensor FrozenModel::Forward(const Tensor& batch, Workspace& ws) {
-  PlanRunner* runner = RunnerForBatch(batch.dim(0), batch.shape());
-  if (runner == nullptr) return model_->Forward(batch, &ws);
-  // The runner's output borrows its pinned arena and is overwritten by
-  // the next Run; copy the (B, classes) logits into the caller's
-  // workspace to keep Forward's borrowed-from-`ws` contract.
-  const Tensor& logits = runner->Run(batch);
-  Tensor out = NewTensor(&ws, logits.shape());
-  out.CopyFrom(logits);
-  return out;
 }
 
 }  // namespace dhgcn

@@ -2,14 +2,13 @@
 #define DHGCN_SERVE_FROZEN_MODEL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "base/result.h"
 #include "core/dhgcn_model.h"
 #include "plan/plan.h"
-#include "plan/plan_runner.h"
-#include "quant/calibration.h"
+#include "plan/plan_cache.h"
 #include "quant/precision.h"
 #include "tensor/workspace.h"
 
@@ -32,11 +31,9 @@ class FrozenModel {
   /// initialized weights — useful for load benchmarks.
   /// `frames` fixes the temporal length every request must carry, so
   /// micro-batches stack into one (B, C, T, V) tensor.
-  /// `plan` selects the inference path: kOff runs layer-by-layer;
-  /// kUnfused / kFused compile an execution plan per micro-batch size
-  /// (lazily, cached for the model's lifetime) and replay it with zero
-  /// steady-state allocations. If capture ever fails the model falls
-  /// back to the layer path permanently (one warning, no error).
+  /// `plan` is the mode of the fp32 plans its `PlanCache` compiles per
+  /// micro-batch size (lazily, cached for the model's lifetime) and
+  /// replays with zero steady-state allocations.
   /// `precision` = kInt8 compiles post-training-quantized plans
   /// instead: activation scales come from a deterministic synthetic
   /// calibration batch run at load time (fixed-seed normal clips, the
@@ -45,27 +42,22 @@ class FrozenModel {
   /// the requested plan mode.
   static Result<std::unique_ptr<FrozenModel>> Load(
       const std::string& checkpoint_path, const DhgcnConfig& config,
-      int64_t frames, PlanMode plan = PlanMode::kOff,
+      int64_t frames, PlanMode plan = PlanMode::kUnfused,
       Precision precision = Precision::kFp32);
 
   /// Checks shape only (cheap, on the submit path): (C, T, V) with the
   /// configured channel count, frame count and joint count.
   [[nodiscard]] Status ValidateClipShape(const Tensor& clip) const;
 
-  /// Runs eval-mode inference on a stacked (B, C, T, V) batch, staging
-  /// activations in `ws`. Returns (B, num_classes) logits **borrowed
-  /// from `ws`** — copy rows out before the next Reset().
-  Tensor Forward(const Tensor& batch, Workspace& ws);
+  /// Runs eval-mode inference on a stacked (B, C, T, V) batch. Returns
+  /// (B, num_classes) logits borrowed from this replica's plan for batch
+  /// size B (or from `ws` if the model ran layer by layer) — copy rows
+  /// out before the next Forward or `ws.Reset()`.
+  Tensor Forward(const Tensor& batch, Workspace& ws) {
+    return plans_.Forward(batch, ws);
+  }
 
   const DhgcnConfig& config() const { return config_; }
-  PlanMode plan_mode() const { return plan_mode_; }
-  /// The precision actually being served (kFp32 after an int8
-  /// calibration failure downgraded the model).
-  Precision precision() const { return precision_; }
-  /// Compiled plan runners currently cached (one per batch size seen).
-  int64_t compiled_plan_count() const {
-    return static_cast<int64_t>(runners_.size());
-  }
   int64_t frames() const { return frames_; }
   int64_t num_joints() const { return num_joints_; }
   int64_t num_classes() const { return config_.num_classes; }
@@ -77,24 +69,14 @@ class FrozenModel {
  private:
   FrozenModel(std::unique_ptr<DhgcnModel> model, const DhgcnConfig& config,
               int64_t frames, int64_t num_joints, PlanMode plan,
-              Precision precision, QuantCalibration calib);
-
-  /// Returns the cached runner for this batch size, compiling one on
-  /// first sight; null when plans are off or capture has failed.
-  PlanRunner* RunnerForBatch(int64_t batch_size, const Shape& input_shape);
+              std::optional<QuantCalibration> calibration);
 
   std::unique_ptr<DhgcnModel> model_;
+  /// Compiled runners per batch size (worker-local, like the model).
+  PlanCache plans_;
   DhgcnConfig config_;
   int64_t frames_;
   int64_t num_joints_;
-  PlanMode plan_mode_;
-  Precision precision_;
-  /// Load-time activation statistics (int8 only; empty for fp32).
-  QuantCalibration calib_;
-  /// Permanent layer-path fallback after a failed capture.
-  bool plan_failed_ = false;
-  /// Batch size -> compiled runner (worker-local, like the model).
-  std::unordered_map<int64_t, std::unique_ptr<PlanRunner>> runners_;
 };
 
 }  // namespace dhgcn

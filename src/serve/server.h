@@ -30,10 +30,9 @@ namespace dhgcn {
 struct ServerOptions {
   /// Worker threads, each owning a model replica and a workspace arena.
   int64_t worker_count = 1;
-  /// Inference path of each replica: kOff = layer-by-layer; kUnfused /
-  /// kFused = compiled execution plans cached per micro-batch size
-  /// (capture failure falls back to the layer path, never an error).
-  PlanMode plan_mode = PlanMode::kOff;
+  /// Plan mode of each replica's execution plans, compiled per
+  /// micro-batch size (see FrozenModel::Load and PlanCache).
+  PlanMode plan_mode = PlanMode::kUnfused;
   /// Inference numerics of each replica: kInt8 loads post-training-
   /// quantized models (synthetic-batch calibration at load time; a
   /// calibration failure downgrades that replica to fp32 with one

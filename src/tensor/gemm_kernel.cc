@@ -12,11 +12,10 @@ namespace {
 // nest, micro-kernel included, into each wrapper so it is re-vectorized
 // under that wrapper's target options; an out-of-line copy would silently
 // keep baseline codegen.
-#if defined(__GNUC__)
-#define DHGCN_GEMM_INLINE inline __attribute__((always_inline))
-#else
-#define DHGCN_GEMM_INLINE inline
+#if !defined(__GNUC__)
+#error "the GEMM kernels need GNU vector extensions (GCC or Clang)"
 #endif
+#define DHGCN_GEMM_INLINE inline __attribute__((always_inline))
 
 // GNU vector extension for the accumulator tile. This is deliberate: the
 // auto-vectorizer alone refuses to register-allocate a kGemmMR x kGemmNR
@@ -25,19 +24,13 @@ namespace {
 // any other scalar. The types lower to whatever the active target
 // provides — SSE pairs in baseline builds, ymm registers in the AVX+FMA
 // clone — so no ISA is hard-coded.
-#if defined(__GNUC__)
-#define DHGCN_GEMM_VECTOR_EXT 1
 // Vectors never cross a (non-inlined) function boundary — passing or
 // returning one from baseline-ISA code would change ABI (-Wpsabi).
 typedef float V8f __attribute__((vector_size(32), aligned(4), may_alias));
-#else
-#define DHGCN_GEMM_VECTOR_EXT 0
-#endif
 
 static_assert(kGemmNR == 16, "micro-kernels assume two 8-wide columns");
 static_assert(kGemmMR <= 4, "micro-kernels have at most four rows");
 
-#if DHGCN_GEMM_VECTOR_EXT
 // Full-panel register tile: kRows x kGemmNR accumulators held in vector
 // registers across the kc-deep reduction slice. `a` is unpacked
 // row-major with leading dimension `lda`; `bp` points at the packed
@@ -100,12 +93,11 @@ DHGCN_GEMM_INLINE void MicroKernelTileFull(const float* a, int64_t lda,
     crow[1] += c31;
   }
 }
-#endif
 
-// Partial-panel (and non-GNU fallback) tile: same loop structure with a
-// column guard on the stores. Only the final, zero-padded panel of a
-// product ever takes this path, so its (shape-pure) different rounding
-// costs nothing in throughput.
+// Partial-panel tile: same loop structure with a column guard on the
+// stores. Only the final, zero-padded panel of a product ever takes this
+// path, so its (shape-pure) different rounding costs nothing in
+// throughput.
 template <int kRows>
 DHGCN_GEMM_INLINE void MicroKernelTileEdge(const float* a, int64_t lda,
                                            const float* bp, int64_t kc,
@@ -129,12 +121,10 @@ template <int kRows>
 DHGCN_GEMM_INLINE void MicroKernelTile(const float* a, int64_t lda,
                                        const float* bp, int64_t kc, float* c,
                                        int64_t ldc, int64_t cols) {
-#if DHGCN_GEMM_VECTOR_EXT
   if (cols == kGemmNR) {
     MicroKernelTileFull<kRows>(a, lda, bp, kc, c, ldc);
     return;
   }
-#endif
   MicroKernelTileEdge<kRows>(a, lda, bp, kc, c, ldc, cols);
 }
 
@@ -176,7 +166,7 @@ DHGCN_GEMM_INLINE void GemmBlockedImpl(const float* a, const float* bp,
   }
 }
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__) && \
+#if (defined(__x86_64__) || defined(__i386__)) && \
     !(defined(__AVX__) && defined(__FMA__))
 #define DHGCN_GEMM_DISPATCH 1
 #else
@@ -213,9 +203,7 @@ const bool kHaveAvxFma =
 // multiply and an add. Backward, a float lane adds rounded float
 // products, which must not be fused: that clone enables AVX without
 // FMA, because GCC contracts a*b+c whenever the target has FMA.
-#if DHGCN_GEMM_VECTOR_EXT
 typedef double V4d __attribute__((vector_size(32), aligned(8), may_alias));
-#endif
 
 // Packs M as T lanes: block j0 / kMixBlock, at lane j0 * v, holds v rows
 // k of kMixBlock lanes j0 + j, set to M[j0 + j, k] when `transpose`,
@@ -240,7 +228,6 @@ DHGCN_GEMM_INLINE void MixForwardImpl(const double* mt, const float* x,
     const float* xr = x + r * ld;
     for (int64_t j0 = 0; j0 < v; j0 += kMixBlock) {
       const double* mb = mt + j0 * v;
-#if DHGCN_GEMM_VECTOR_EXT
       V4d a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
       for (int64_t u = 0; u < v; ++u) {
         const V4d* m = reinterpret_cast<const V4d*>(mb + u * kMixBlock);
@@ -256,14 +243,6 @@ DHGCN_GEMM_INLINE void MixForwardImpl(const double* mt, const float* x,
       }
       const V4d acc[] = {a0, a1, a2, a3, a4, a5, a6, a7};
       const double* lanes = reinterpret_cast<const double*>(acc);
-#else
-      double lanes[kMixBlock] = {};
-      for (int64_t u = 0; u < v; ++u) {
-        for (int64_t j = 0; j < kMixBlock; ++j) {
-          lanes[j] += mb[u * kMixBlock + j] * xr[u];
-        }
-      }
-#endif
       float* yr = y + r * ld + j0;
       for (int64_t j = 0; j < std::min(kMixBlock, v - j0); ++j) {
         yr[j] = static_cast<float>(lanes[j]);
@@ -279,7 +258,6 @@ DHGCN_GEMM_INLINE void MixBackwardImpl(const float* mp, const float* g,
     const float* gr = g + r * ld;
     for (int64_t j0 = 0; j0 < v; j0 += kMixBlock) {
       const float* mb = mp + j0 * v;
-#if DHGCN_GEMM_VECTOR_EXT
       V8f a0{}, a1{}, a2{}, a3{};
       for (int64_t i = 0; i < v; ++i) {
         const float gi = gr[i];
@@ -292,15 +270,6 @@ DHGCN_GEMM_INLINE void MixBackwardImpl(const float* mp, const float* g,
       }
       const V8f acc[] = {a0, a1, a2, a3};
       const float* lanes = reinterpret_cast<const float*>(acc);
-#else
-      float lanes[kMixBlock] = {};
-      for (int64_t i = 0; i < v; ++i) {
-        if (gr[i] == 0.0f) continue;
-        for (int64_t j = 0; j < kMixBlock; ++j) {
-          lanes[j] += gr[i] * mb[i * kMixBlock + j];
-        }
-      }
-#endif
       float* gxr = gx + r * ld + j0;
       for (int64_t j = 0; j < std::min(kMixBlock, v - j0); ++j) {
         gxr[j] = lanes[j];

@@ -17,11 +17,7 @@ namespace {
 // Mirrors the fp32 kernel's inlining discipline (gemm_kernel.cc): the
 // AVX2 helpers are always_inline so the whole nest is code-generated
 // under the one target-attributed entry point.
-#if defined(__GNUC__)
 #define DHGCN_INT8_INLINE inline __attribute__((always_inline))
-#else
-#define DHGCN_INT8_INLINE inline
-#endif
 
 static_assert(kInt8NR == 16, "micro-kernels assume two 8-column vectors");
 static_assert(kInt8KStep == 8, "packed groups hold two 4-deep halves");

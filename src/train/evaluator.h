@@ -14,24 +14,21 @@ namespace dhgcn {
 
 /// Evaluation knobs (see `Evaluate` below).
 struct EvalOptions {
-  /// Run inference through a compiled execution plan (kUnfused is
-  /// bit-identical to the layer path, kFused folds BatchNorm and fuses
-  /// elementwise tails). Runners are cached per batch size; if the
-  /// model cannot be captured (e.g. it does not implement `Record`),
-  /// evaluation falls back to the layer-by-layer path for the whole
-  /// call and logs one warning.
-  PlanMode plan = PlanMode::kOff;
+  /// Plan mode of the fp32 inference plans (kUnfused is bit-identical
+  /// to the layer path, kFused folds BatchNorm and fuses elementwise
+  /// tails). Plans come from a `PlanCache`, one runner per batch size; a
+  /// model that does not record runs layer by layer.
+  PlanMode plan = PlanMode::kUnfused;
   /// Log peak workspace / plan-arena bytes at INFO after the pass.
   bool log_peak_bytes = false;
   /// Inference numerics. kInt8 compiles post-training-quantized plans
-  /// (the plan path is implied; `plan` only matters as the fp32
-  /// fallback mode): weights freeze to int8 panels after a calibration
-  /// pass of up to `calibration_batches` batches over
-  /// `calibration_loader` — pass a loader over *training* data; null
-  /// falls back to the eval loader itself (calibrating on the eval set
-  /// is methodologically impure but numerically harmless here: only
-  /// |x| maxima are read). Calibration or capture failure logs one
-  /// warning and evaluates fp32.
+  /// (`plan` only matters as the fp32 fallback mode): weights freeze to
+  /// int8 panels after a calibration pass of up to
+  /// `calibration_batches` batches over `calibration_loader` — pass a
+  /// loader over *training* data; null falls back to the eval loader
+  /// itself (calibrating on the eval set is methodologically impure but
+  /// numerically harmless here: only |x| maxima are read). Calibration
+  /// or int8 compile failure logs one warning and evaluates fp32.
   Precision precision = Precision::kFp32;
   DataLoader* calibration_loader = nullptr;
   int64_t calibration_batches = 4;
@@ -39,15 +36,17 @@ struct EvalOptions {
 
 /// Evaluates a classifier over a loader (inference mode; loader should be
 /// non-shuffling). Reports Top-1/Top-5 accuracy and mean cross-entropy.
-/// Activations and the loss are staged in a per-call Workspace arena,
-/// reset per batch.
+/// The logits come from a per-call `PlanCache`; the loss (and the layer
+/// path, for a model that does not record) is staged in a per-call
+/// Workspace arena, reset per batch.
 EvalMetrics Evaluate(Layer& model, DataLoader& loader,
                      const EvalOptions& options = {});
 
 /// \brief Two-stream fused evaluation (Sec. 3.5): sums the joint model's
-/// and bone model's logits per sample. The two loaders must iterate the
-/// same sample indices in the same order (both non-shuffling over the
-/// same split).
+/// and bone model's logits per sample, each from its own unfused-plan
+/// `PlanCache`, and stages the sum and its loss in a workspace. The two
+/// loaders must iterate the same sample indices in the same order (both
+/// non-shuffling over the same split).
 EvalMetrics EvaluateFused(Layer& joint_model, Layer& bone_model,
                           DataLoader& joint_loader,
                           DataLoader& bone_loader);
@@ -77,7 +76,8 @@ struct ClassificationReport {
   std::string ToString() const;
 };
 
-/// Runs inference over the loader and builds the per-class report.
+/// Runs inference over the loader (unfused plans, like EvaluateFusedN)
+/// and builds the per-class report.
 ClassificationReport EvaluatePerClass(Layer& model, DataLoader& loader,
                                       int64_t num_classes);
 

@@ -6,7 +6,6 @@
 #include "gtest/gtest.h"
 
 #include "base/rng.h"
-#include "core/two_stream.h"
 #include "models/agcn.h"
 #include "models/ahgcn.h"
 #include "models/model_zoo.h"
@@ -274,34 +273,6 @@ TEST(PbModelsTest, PbHgcnIsCapacityMatchedToPbGcn) {
     EXPECT_GT(ratio, 0.6) << ModelKindName(hgcn_kind);
     EXPECT_LT(ratio, 1.4) << ModelKindName(hgcn_kind);
   }
-}
-
-// --- TwoStream ----------------------------------------------------------------------------
-
-TEST(TwoStreamTest, FusedLogitsAreSums) {
-  ModelZooOptions zoo = TinyZoo();
-  TwoStream two_stream(
-      CreateModel(ModelKind::kStgcn, SkeletonLayoutType::kKinetics18, 4,
-                  zoo),
-      CreateModel(ModelKind::kStgcn, SkeletonLayoutType::kKinetics18, 4,
-                  zoo));
-  two_stream.SetTraining(false);
-  Rng rng(11);
-  Tensor joint_x = Tensor::RandomNormal({2, 3, 8, 18}, rng);
-  Tensor bone_x = Tensor::RandomNormal({2, 3, 8, 18}, rng);
-  Tensor fused = two_stream.FusedLogits(joint_x, bone_x);
-  Tensor expected = Add(two_stream.joint().Forward(joint_x),
-                        two_stream.bone().Forward(bone_x));
-  EXPECT_TRUE(AllClose(fused, expected, 1e-5f, 1e-6f));
-}
-
-TEST(TwoStreamTest, NameMentionsBothStreams) {
-  ModelZooOptions zoo = TinyZoo();
-  TwoStream two_stream(
-      CreateModel(ModelKind::kAgcn, SkeletonLayoutType::kKinetics18, 4, zoo),
-      CreateModel(ModelKind::kAgcn, SkeletonLayoutType::kKinetics18, 4,
-                  zoo));
-  EXPECT_NE(two_stream.name().find("2s-AGCN"), std::string::npos);
 }
 
 // --- StBlock / BackboneClassifier ----------------------------------------------------------

@@ -1,13 +1,16 @@
 // Execution-plan IR tests: record-once capture, liveness-packed offset
 // aliasing, bit-exact unfused replay, Conv→BN / BN→Linear folding and
 // elementwise fusion (rtol-equivalent, accuracy-parity), the PlanRunner
-// zero-steady-state-allocation contract, and the eval-dropout identity
-// fast path that keeps inference plans away from the RNG.
+// zero-steady-state-allocation contract, the PlanCache fallback order
+// and the evaluators on it against an explicit layer-path loop, and the
+// eval-dropout identity fast path that keeps inference plans away from
+// the RNG.
 
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -18,17 +21,22 @@
 #include "data/dataloader.h"
 #include "data/dataset.h"
 #include "data/synthetic_generator.h"
+#include "models/model_zoo.h"
 #include "nn/batchnorm.h"
 #include "nn/dropout.h"
 #include "nn/linear.h"
+#include "nn/loss.h"
 #include "nn/sequential.h"
 #include "plan/fusion.h"
 #include "plan/plan.h"
 #include "plan/plan_builder.h"
+#include "plan/plan_cache.h"
 #include "plan/plan_runner.h"
+#include "quant/calibration.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 #include "train/evaluator.h"
+#include "train/metrics.h"
 #include "train/trainer.h"
 
 namespace dhgcn {
@@ -54,8 +62,41 @@ size_t SlotBytes(const PlanSlot& slot) {
   return static_cast<size_t>(ShapeNumel(slot.shape)) * sizeof(float);
 }
 
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return ShapesEqual(a.shape(), b.shape()) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Layer-path oracle of the evaluators: each stream's owning `Forward`
+// logits summed in stream order, then the loss and metrics `Evaluate`
+// reports. One stream is plain evaluation.
+EvalMetrics LayerPathMetrics(const std::vector<Layer*>& models,
+                             const std::vector<DataLoader*>& loaders) {
+  for (Layer* model : models) model->SetTraining(false);
+  SoftmaxCrossEntropy loss;
+  MetricsAccumulator accumulator;
+  for (int64_t b = 0; b < loaders[0]->NumBatches(); ++b) {
+    Batch first = loaders[0]->GetBatch(b);
+    Tensor logits = models[0]->Forward(first.x);
+    for (size_t s = 1; s < models.size(); ++s) {
+      AddInPlace(logits, models[s]->Forward(loaders[s]->GetBatch(b).x));
+    }
+    accumulator.Add(logits, first.labels, loss.Forward(logits, first.labels));
+  }
+  for (Layer* model : models) model->SetTraining(true);
+  return accumulator.Finalize();
+}
+
+void ExpectSameMetrics(const EvalMetrics& want, const EvalMetrics& got) {
+  EXPECT_EQ(want.count, got.count);
+  EXPECT_EQ(want.top1, got.top1);
+  EXPECT_EQ(want.top5, got.top5);
+  EXPECT_EQ(want.loss, got.loss);
+}
+
 TEST(PlanModeTest, ParseAndName) {
-  EXPECT_EQ(ParsePlanMode("off").ValueOrDie(), PlanMode::kOff);
+  EXPECT_TRUE(ParsePlanMode("off").status().IsInvalidArgument());
   EXPECT_EQ(ParsePlanMode("on").ValueOrDie(), PlanMode::kUnfused);
   EXPECT_EQ(ParsePlanMode("unfused").ValueOrDie(), PlanMode::kUnfused);
   EXPECT_EQ(ParsePlanMode("fused").ValueOrDie(), PlanMode::kFused);
@@ -93,13 +134,6 @@ TEST(PlanCaptureTest, RequiresEvalMode) {
   Result<ExecutionPlan> captured =
       CaptureInferencePlan(model, {2, 3, 8, 18});
   EXPECT_FALSE(captured.ok());
-}
-
-TEST(PlanCaptureTest, BuildRejectsModeOff) {
-  std::unique_ptr<DhgcnModel> model = MakeEvalTiny();
-  EXPECT_FALSE(BuildInferencePlan(*model, {2, 3, 8, 18},
-                                  PlanMode::kOff)
-                   .ok());
 }
 
 TEST(PlanOffsetsTest, LivenessPackingAliasesSlots) {
@@ -248,7 +282,7 @@ TEST(PlanFusionTest, BnFoldAccuracyParity) {
   }
   DataLoader eval_loader(&dataset, split.test, 4, InputStream::kJoint,
                          /*shuffle=*/false);
-  EvalMetrics layerwise = Evaluate(model, eval_loader);
+  EvalMetrics layerwise = LayerPathMetrics({&model}, {&eval_loader});
   EvalOptions fused_options;
   fused_options.plan = PlanMode::kFused;
   EvalMetrics fused = Evaluate(model, eval_loader, fused_options);
@@ -270,14 +304,115 @@ TEST(PlanEvaluateTest, UnfusedPlanMatchesLayerPathExactly) {
   // (a full batch and a tail batch compile separate plans).
   DataLoader loader(&dataset, split.test, 5, InputStream::kJoint,
                     /*shuffle=*/false);
-  EvalMetrics layerwise = Evaluate(model, loader);
+  EvalMetrics layerwise = LayerPathMetrics({&model}, {&loader});
   EvalOptions plan_options;
   plan_options.plan = PlanMode::kUnfused;
   EvalMetrics planned = Evaluate(model, loader, plan_options);
-  EXPECT_EQ(layerwise.count, planned.count);
-  EXPECT_EQ(layerwise.top1, planned.top1);
-  EXPECT_EQ(layerwise.top5, planned.top5);
-  EXPECT_EQ(layerwise.loss, planned.loss);
+  ExpectSameMetrics(layerwise, planned);
+}
+
+// An empty calibration converts nothing, so every int8 compile fails:
+// the cache must serve the fp32 plan at the requested mode, bit for bit
+// what an fp32-only cache serves, at each batch size.
+TEST(PlanCacheTest, EmptyCalibrationServesFp32PlanAtRequestedMode) {
+  std::unique_ptr<DhgcnModel> model = MakeEvalTiny();
+  Rng rng(36);
+  const Tensor full = Tensor::RandomNormal({2, 3, 8, 18}, rng);
+  const Tensor tail = Tensor::RandomNormal({1, 3, 8, 18}, rng);
+  for (PlanMode mode : {PlanMode::kUnfused, PlanMode::kFused}) {
+    PlanCache fp32(*model, mode);
+    PlanCache fallback(*model, mode, QuantCalibration{});
+    Workspace ws;
+    for (const Tensor* x : {&full, &tail, &full}) {
+      ws.Reset();
+      EXPECT_TRUE(BitEqual(fp32.Forward(*x, ws), fallback.Forward(*x, ws)))
+          << PlanModeName(mode) << " batch " << x->dim(0);
+    }
+    EXPECT_EQ(fallback.plan_count(), 2);
+    EXPECT_EQ(fallback.arena_bytes(), fp32.arena_bytes());
+  }
+}
+
+// A model that does not record (zoo ST-GCN) runs the layer path, with
+// the layer path's bits, and compiles nothing.
+TEST(PlanCacheTest, NonRecordingModelRunsLayerPath) {
+  ModelZooOptions zoo;
+  zoo.scale.channels = {6, 12};
+  zoo.scale.strides = {1, 2};
+  zoo.scale.dropout = 0.0f;
+  LayerPtr model = CreateModel(ModelKind::kStgcn,
+                               SkeletonLayoutType::kKinetics18, 4, zoo);
+  model->SetTraining(false);
+  Rng rng(37);
+  const Tensor x = Tensor::RandomNormal({2, 3, 8, 18}, rng);
+  const Tensor expected = model->Forward(x);
+  PlanCache plans(*model, PlanMode::kUnfused);
+  Workspace ws;
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    ws.Reset();
+    EXPECT_TRUE(BitEqual(expected, plans.Forward(x, ws)))
+        << "repeat " << repeat;
+  }
+  EXPECT_EQ(plans.plan_count(), 0);
+}
+
+// The paper's two-stream fusion (Sec. 3.5) and the per-class report run
+// on plans; both must equal the layer path. Batch 5 over the split gives
+// a full and a tail batch, so each stream compiles two runners.
+TEST(PlanCacheTest, FusedNAndPerClassMatchLayerPath) {
+  SkeletonDataset dataset =
+      SkeletonDataset::Generate(NtuLikeConfig(3, 6, 8, 93)).MoveValue();
+  DatasetSplit split = dataset.RandomSplit(0.5f, 2);
+  DhgcnConfig joint_config =
+      DhgcnConfig::Tiny(SkeletonLayoutType::kNtu25, /*num_classes=*/3);
+  DhgcnConfig bone_config = joint_config;
+  bone_config.seed = joint_config.seed + 1;
+  DhgcnModel joint(joint_config);
+  DhgcnModel bone(bone_config);
+  auto loader = [&](InputStream stream) {
+    return DataLoader(&dataset, split.test, 5, stream, /*shuffle=*/false);
+  };
+  DataLoader joint_a = loader(InputStream::kJoint);
+  DataLoader bone_a = loader(InputStream::kBone);
+  DataLoader joint_b = loader(InputStream::kJoint);
+  DataLoader bone_b = loader(InputStream::kBone);
+  ASSERT_GT(joint_a.NumBatches(), 1);
+
+  const EvalMetrics want =
+      LayerPathMetrics({&joint, &bone}, {&joint_a, &bone_a});
+  ExpectSameMetrics(want, EvaluateFused(joint, bone, joint_b, bone_b));
+  // The streams really differ, so the check covers the sum.
+  EXPECT_NE(want.loss, LayerPathMetrics({&joint}, {&joint_a}).loss);
+
+  constexpr int64_t kClasses = 3;
+  Tensor confusion({kClasses, kClasses});
+  joint.SetTraining(false);
+  for (int64_t b = 0; b < joint_a.NumBatches(); ++b) {
+    Batch batch = joint_a.GetBatch(b);
+    AddInPlace(confusion, ConfusionMatrix(joint.Forward(batch.x),
+                                          batch.labels, kClasses));
+  }
+  joint.SetTraining(true);
+  const ClassificationReport report =
+      EvaluatePerClass(joint, joint_b, kClasses);
+  ASSERT_EQ(report.classes.size(), static_cast<size_t>(kClasses));
+  double correct = 0.0;
+  for (int64_t c = 0; c < kClasses; ++c) {
+    double support = 0.0, predicted = 0.0;
+    for (int64_t j = 0; j < kClasses; ++j) {
+      support += confusion.at(c, j);
+      predicted += confusion.at(j, c);
+    }
+    const double tp = confusion.at(c, c);
+    const ClassReport& got = report.classes[static_cast<size_t>(c)];
+    EXPECT_EQ(got.support, static_cast<int64_t>(support)) << "class " << c;
+    EXPECT_EQ(got.precision, predicted > 0.0 ? tp / predicted : 0.0);
+    EXPECT_EQ(got.recall, support > 0.0 ? tp / support : 0.0);
+    correct += tp;
+  }
+  EXPECT_EQ(report.total, want.count);
+  EXPECT_EQ(report.accuracy,
+            correct / static_cast<double>(report.total));
 }
 
 TEST(DropoutEvalTest, IdentityFastPathSkipsMaskAllocAndRng) {

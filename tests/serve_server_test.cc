@@ -1,8 +1,9 @@
 // End-to-end tests for the fault-tolerant serving core: correctness
 // against a direct forward pass, batch transparency, poison isolation,
 // deadline expiry, degradation/recovery, watchdog health, drain on
-// shutdown, concurrent replicas against direct forwards, and a
-// multi-client stress run (the TSan targets).
+// shutdown, concurrent replicas against direct forwards, owning
+// allocations per warm request, and a multi-client stress run (the TSan
+// targets).
 //
 // lint: allow-thread-file — the stress test spawns client threads and
 // the expiry tests sleep on real time; serving is the reviewed
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/alloc_stats.h"
 #include "base/fault_injection.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
@@ -479,12 +481,38 @@ void ExpectConcurrentReplicasMatchDirectForward(PlanMode plan) {
   EXPECT_EQ(mismatched.load(), 0);
 }
 
-TEST_F(ServeServerTest, ConcurrentReplicasMatchDirectForwardLayerwise) {
-  ExpectConcurrentReplicasMatchDirectForward(PlanMode::kOff);
+TEST_F(ServeServerTest, ConcurrentReplicasMatchDirectForwardUnfusedPlan) {
+  ExpectConcurrentReplicasMatchDirectForward(PlanMode::kUnfused);
 }
 
 TEST_F(ServeServerTest, ConcurrentReplicasMatchDirectForwardFusedPlan) {
   ExpectConcurrentReplicasMatchDirectForward(PlanMode::kFused);
+}
+
+// Once the worker is warm, a served request makes two owning tensor
+// allocations: the admitted clip's Clone and the response's logits row.
+// Everything else reuses the replica's plan for batch size 1 and the
+// worker's arena; a per-batch plan compile (fused plans fold BatchNorm
+// into fresh tensors) fails this.
+TEST_F(ServeServerTest, WarmRequestsMakeTwoOwningAllocationsEach) {
+  ServerOptions options = TestOptions();
+  options.batcher.batch_delay_ns = 0;
+  options.plan_mode = PlanMode::kFused;
+  auto server = InferenceServer::Create("", TestConfig(), kFrames, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const Tensor clip = MakeClip((*server)->model(), /*seed=*/7);
+  for (int warm = 0; warm < 2; ++warm) {
+    ASSERT_TRUE((*server)->Infer(clip, SubmitOptions()).status.ok());
+  }
+  constexpr uint64_t kRequests = 16;
+  AllocStatsGuard guard;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    ServeResponse response = (*server)->Infer(clip, SubmitOptions());
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    ASSERT_EQ(response.batch_size, 1);
+  }
+  EXPECT_LE(guard.allocations(), 2 * kRequests);
+  (*server)->Shutdown();
 }
 
 }  // namespace

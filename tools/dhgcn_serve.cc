@@ -101,7 +101,7 @@ Status RunMain(int argc, const char* const* argv) {
   int64_t duration_ms = 1000;
   int64_t poison_every = 0;
   int64_t seed = 42;
-  std::string plan_name = "off";
+  std::string plan_name = "on";
   RuntimeFlags rt;
   // Serving default: one intra-op thread per worker — parallelism
   // comes from --workers, not the compute pool.
@@ -138,9 +138,9 @@ Status RunMain(int argc, const char* const* argv) {
   flags.AddString("bench_json", &bench_json,
                   "write per-phase results to this JSON file");
   flags.AddString("plan", &plan_name,
-                  "worker inference path: off|on|fused (on = compiled "
-                  "execution plans per batch size, bit-identical; fused "
-                  "= Conv+BN folding, rtol-equivalent)");
+                  "worker execution plans per batch size: on|fused (on "
+                  "= bit-identical to the layer path; fused = Conv+BN "
+                  "folding, rtol-equivalent)");
   rt.Register(&flags);
   flags.AddBool("strict", &strict,
                 "fail unless overload shed explicitly and recovery "

@@ -75,7 +75,7 @@ Status RunMain(int argc, const char* const* argv) {
   bool report = false;
   bool summary = false;
   bool augment = false;
-  std::string plan_name = "off";
+  std::string plan_name = "on";
   RuntimeFlags rt;
   bool prune = false;
   double prune_sparsity = 0.8;
@@ -124,9 +124,10 @@ Status RunMain(int argc, const char* const* argv) {
   flags.AddBool("summary", &summary, "print the parameter summary");
   flags.AddBool("augment", &augment, "enable training augmentation");
   flags.AddString("plan", &plan_name,
-                  "evaluation execution plan: off|on|fused (on = compiled "
-                  "replay, bit-identical; fused = Conv+BN folding, "
-                  "rtol-equivalent). Training is always layer-by-layer.");
+                  "evaluation execution plan: on|fused (on = compiled "
+                  "replay, bit-identical to the layer path; fused = "
+                  "Conv+BN folding, rtol-equivalent). Training is always "
+                  "layer-by-layer.");
   rt.Register(&flags);
   flags.AddBool("prune", &prune,
                 "magnitude-prune weights on a cubic schedule, then "
@@ -278,7 +279,7 @@ Status RunMain(int argc, const char* const* argv) {
                          /*shuffle=*/false);
   EvalOptions eval_options;
   eval_options.plan = plan_mode;
-  eval_options.log_peak_bytes = plan_mode != PlanMode::kOff;
+  eval_options.log_peak_bytes = true;
   eval_options.precision = rt.resolved_precision;
   // Int8 activation scales calibrate on training data (never the test
   // split: the eval must not see its own statistics).
